@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race verify cover bench bench-quick bench-sessions bench-check bench-server bench-server-check bench-compute bench-compute-check trace-demo profile profile-compute fuzz load chaos clean
+.PHONY: all build test vet race verify cover perfbench-check bench bench-quick bench-sessions bench-check bench-server bench-server-check bench-compute bench-compute-check trace-demo profile profile-compute fuzz load chaos clean
 
 all: verify
 
@@ -53,7 +53,14 @@ cover:
 			{ echo "FAIL: $$pkg coverage $$pct% below floor $$floor%"; exit 1; }; \
 	done; rm -f cover.out
 
-verify: build vet test race cover
+# The benchmark harness is a Go module of its own (perfbench/go.mod), so
+# the root ./... patterns above skip it. Vet it and run its short tests in
+# place, so a change to a name it calls fails here rather than only when
+# the benchmark runs.
+perfbench-check:
+	cd perfbench && $(GO) vet . && $(GO) test -short .
+
+verify: build vet test race cover perfbench-check
 
 # Perf-focused benchmarks behind the numbers in README.md's Performance
 # section. Writes the raw `go test -bench` stream to bench.out and a JSON

@@ -19,17 +19,16 @@ import "pacds/internal/graph"
 // application only shrinks the set. The sequential pass evaluates each
 // node against a gateway state that is a superset of every later state,
 // so a node found ineligible stays ineligible through the end of the pass
-// and forever after — no confirming pass can find anything. The pre-PR
-// implementation (retained below as ApplyRulesFixpointRescan, the
-// differential-testing oracle and benchmark baseline) paid at least one
-// full O(n · deg²) re-scan to discover that stability empirically;
-// TestFixpointMatchesRescan checks the theorem against it on random
-// topologies for every policy.
+// and forever after — no confirming pass can find anything. The full
+// re-scan reference (ApplyRulesFixpointRescan, kept in this package's
+// tests) pays at least one O(n · deg²) pass to discover that stability
+// empirically; TestFixpointMatchesRescan checks the theorem against it on
+// random topologies for every policy.
 //
 // The theorem is about removals under a FIXED graph and priority order.
 // When the inputs change — links appear or disappear, energy levels move —
-// eligibility can increase, and only nodes near the change need
-// re-examination. That incremental case is ReapplyRulesDirty below.
+// eligibility can increase, and only slots near the change need
+// re-deciding. That incremental case is Rules.Resweep (engine.go).
 
 // ApplyRulesFixpoint applies the policy's rules to a fixpoint. Returns
 // the gateway set and the number of rule rounds executed (always 1: per
@@ -40,110 +39,4 @@ func ApplyRulesFixpoint(g *graph.Graph, p Policy, marked []bool, energy []float6
 		return nil, 0, err
 	}
 	return out, 1, nil
-}
-
-// ReapplyRulesDirty re-examines the given dirty nodes against the current
-// gateway set and cascades any removals with a dirty-queue drain: a node
-// that unmarks itself enqueues its still-marked neighbors — the only
-// nodes whose eligibility its removal can change, since every rule
-// predicate for v reads only static structure and the gateway status of
-// v's 1-hop neighbors. The drain therefore re-examines exactly the nodes
-// within the growing change set's 1-hop fringe (transitively, the 2-hop
-// and farther ripple of the original change) instead of re-running a full
-// pass over all n nodes.
-//
-// gw is modified in place. Callers use this after a local change —
-// re-marking following link events, an energy update that reordered
-// priorities — by passing the nodes whose predicate inputs changed (for a
-// toggled edge (u, w): both endpoints and their common neighbors; for an
-// energy change at u: u and its neighbors). Every removal is individually
-// justified against the gateway state at the moment it happens (the same
-// argument as ApplyRules' sequential semantics), so if gw is a valid CDS
-// on entry it remains one on exit, whatever dirty set is passed. Within a
-// generation nodes are examined in insertion order, which keeps the drain
-// deterministic for a given seed order.
-//
-// Returns the number of generations drained (0 if no dirty node was
-// eligible — per the monotonicity theorem this is always the case when gw
-// is fresh ApplyRules output and nothing has changed since).
-func ReapplyRulesDirty(g *graph.Graph, p Policy, gw []bool, energy []float64, dirty []graph.NodeID) (int, error) {
-	if len(gw) != g.NumNodes() {
-		panic("cds: gateway slice length mismatch")
-	}
-	if p == NR {
-		return 0, nil
-	}
-	less, err := lessFor(p, g, energy)
-	if err != nil {
-		return 0, err
-	}
-
-	n := g.NumNodes()
-	// One backing array serves both the current and the next generation
-	// (each holds at most n distinct nodes), so the whole drain costs two
-	// allocations regardless of cascade depth.
-	inQueue := make([]bool, n)
-	buf := make([]graph.NodeID, 2*n)
-	queue, next := buf[:0:n], buf[n:n:2*n]
-	for _, v := range dirty {
-		if gw[v] && !inQueue[v] {
-			inQueue[v] = true
-			queue = append(queue, v)
-		}
-	}
-
-	generations := 0
-	for len(queue) > 0 {
-		removed := false
-		for _, v := range queue {
-			inQueue[v] = false
-		}
-		for _, v := range queue {
-			if !gw[v] || !ruleEligible(g, p, gw, less, v) {
-				continue
-			}
-			gw[v] = false
-			removed = true
-			for _, u := range g.Neighbors(v) {
-				if gw[u] && !inQueue[u] {
-					inQueue[u] = true
-					next = append(next, u)
-				}
-			}
-		}
-		if !removed {
-			break
-		}
-		generations++
-		queue, next = next, queue[:0]
-	}
-	return generations, nil
-}
-
-// ApplyRulesFixpointRescan is the reference fixpoint: re-run the full rule
-// pass over all nodes until a pass removes nothing. It is retained as the
-// differential-testing oracle for ApplyRulesFixpoint and as the baseline
-// the BenchmarkApplyRulesFixpoint comparison measures against; new code
-// should call ApplyRulesFixpoint.
-//
-// Returns the gateway set and the number of passes executed (at least 2 —
-// the final pass removes nothing and exists only to confirm stability,
-// which is exactly the work the monotonicity theorem proves unnecessary).
-func ApplyRulesFixpointRescan(g *graph.Graph, p Policy, marked []bool, energy []float64) ([]bool, int, error) {
-	out, err := ApplyRules(g, p, marked, energy)
-	if err != nil {
-		return nil, 0, err
-	}
-	passes := 1
-	for {
-		next, err := ApplyRules(g, p, out, energy)
-		if err != nil {
-			return nil, 0, err
-		}
-		passes++
-		if CountGateways(next) == CountGateways(out) {
-			return next, passes, nil
-		}
-		out = next
-	}
 }

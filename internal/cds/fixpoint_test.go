@@ -3,7 +3,6 @@ package cds
 import (
 	"testing"
 
-	"pacds/internal/graph"
 	"pacds/internal/xrand"
 )
 
@@ -159,93 +158,5 @@ func TestFixpointDoesNotMutateInput(t *testing.T) {
 		if marked[v] != snapshot[v] {
 			t.Fatal("fixpoint mutated the marking snapshot")
 		}
-	}
-}
-
-func TestReapplyRulesDirtyStableAfterApplyRules(t *testing.T) {
-	// Direct check of the monotonicity theorem: seeding the dirty queue
-	// with EVERY node right after a sequential pass must remove nothing,
-	// for every policy, on random topologies.
-	rng := xrand.New(626)
-	for trial := 0; trial < 20; trial++ {
-		n := 10 + rng.Intn(70)
-		g := randomConnectedUDG(t, n, rng.Uint64())
-		energy := randomEnergy(n, rng)
-		all := make([]graph.NodeID, n)
-		for v := range all {
-			all[v] = graph.NodeID(v)
-		}
-		for _, p := range Policies {
-			gw, err := ApplyRules(g, p, Mark(g), energy)
-			if err != nil {
-				t.Fatal(err)
-			}
-			before := CountGateways(gw)
-			gens, err := ReapplyRulesDirty(g, p, gw, energy, all)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gens != 0 || CountGateways(gw) != before {
-				t.Fatalf("trial %d policy %v: drain removed %d gateways in %d generations after a full pass",
-					trial, p, before-CountGateways(gw), gens)
-			}
-		}
-	}
-}
-
-func TestReapplyRulesDirtyFromMarkingYieldsCDS(t *testing.T) {
-	// Seeded with every node on a raw (unpruned) marking, the drain must
-	// prune down to a valid CDS: every removal is individually justified
-	// against the current gateway state, whatever order the queue visits.
-	rng := xrand.New(727)
-	for trial := 0; trial < 20; trial++ {
-		n := 10 + rng.Intn(70)
-		g := randomConnectedUDG(t, n, rng.Uint64())
-		energy := randomEnergy(n, rng)
-		all := make([]graph.NodeID, n)
-		for v := range all {
-			all[v] = graph.NodeID(v)
-		}
-		for _, p := range []Policy{ID, ND, EL1, EL2} {
-			gw := Mark(g)
-			before := CountGateways(gw)
-			gens, err := ReapplyRulesDirty(g, p, gw, energy, all)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := VerifyCDS(g, gw); err != nil {
-				t.Fatalf("trial %d policy %v: %v", trial, p, err)
-			}
-			if CountGateways(gw) < before && gens == 0 {
-				t.Fatalf("trial %d policy %v: removals without generations", trial, p)
-			}
-			// A drained set must be stable under a full fixpoint restart.
-			stable, _, err := ApplyRulesFixpoint(g, p, gw, energy)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for v := range gw {
-				if gw[v] != stable[v] {
-					t.Fatalf("trial %d policy %v: drained set not a fixpoint at node %d", trial, p, v)
-				}
-			}
-		}
-	}
-}
-
-func TestReapplyRulesDirtyNoOpCases(t *testing.T) {
-	g := randomConnectedUDG(t, 30, 31)
-	gw := Mark(g)
-	// NR has no rules; any seed is a no-op.
-	if gens, err := ReapplyRulesDirty(g, NR, gw, nil, []graph.NodeID{0, 1, 2}); err != nil || gens != 0 {
-		t.Fatalf("NR drain: gens=%d err=%v", gens, err)
-	}
-	// Empty dirty set is a no-op.
-	if gens, err := ReapplyRulesDirty(g, ND, gw, nil, nil); err != nil || gens != 0 {
-		t.Fatalf("empty drain: gens=%d err=%v", gens, err)
-	}
-	// Energy validation mirrors ApplyRules.
-	if _, err := ReapplyRulesDirty(g, EL1, gw, nil, []graph.NodeID{0}); err == nil {
-		t.Fatal("EL1 without energy accepted")
 	}
 }

@@ -16,49 +16,13 @@ import "pacds/internal/graph"
 // permutation of [0, n). Rule 1 is swept in the given order, then Rule 2.
 func ApplyRulesOrdered(g *graph.Graph, p Policy, marked []bool, energy []float64,
 	order []graph.NodeID) ([]bool, error) {
-	if len(marked) != g.NumNodes() {
-		panic("cds: marked slice length mismatch")
-	}
 	if len(order) != g.NumNodes() {
 		panic("cds: order length mismatch")
 	}
-	out := append([]bool(nil), marked...)
-	if p == NR {
-		return out, nil
-	}
-	less, err := lessFor(p, g, energy)
+	out, r, err := begin(g, p, marked, energy, nil)
 	if err != nil {
 		return nil, err
 	}
-	applyRule1Ordered(g, out, less, order)
-	if p == ID {
-		applyRule2IDOrdered(g, out, order)
-	} else {
-		applyRule2PriorityOrdered(g, out, less, order)
-	}
+	r.apply(out, order)
 	return out, nil
-}
-
-func applyRule1Ordered(g *graph.Graph, gw []bool, less Less, order []graph.NodeID) {
-	for _, vid := range order {
-		if gw[vid] && rule1Eligible(g, gw, less, vid) {
-			gw[vid] = false
-		}
-	}
-}
-
-func applyRule2IDOrdered(g *graph.Graph, gw []bool, order []graph.NodeID) {
-	for _, vid := range order {
-		if gw[vid] && rule2IDEligible(g, gw, vid) {
-			gw[vid] = false
-		}
-	}
-}
-
-func applyRule2PriorityOrdered(g *graph.Graph, gw []bool, less Less, order []graph.NodeID) {
-	for _, vid := range order {
-		if gw[vid] && rule2PriorityEligible(g, gw, less, vid) {
-			gw[vid] = false
-		}
-	}
 }

@@ -28,17 +28,15 @@ import (
 //     superset is therefore ineligible at its slot: speculation
 //     over-approximates the true flip set, never misses it.
 //
-//  2. Commit (sequential, cheap): walk the candidates in ascending ID
-//     order. A candidate's speculative verdict used pre-pass statuses for
-//     every neighbor; its slot verdict differs only if some neighbor
-//     u < v flipped earlier in THIS pass — unmarking only removes
-//     coverers, so speculation is invalidated in exactly one direction
-//     (eligible → ineligible, never the reverse). The commit loop
-//     re-evaluates the slot predicate under the split before/after view
-//     (slots.go) only for candidates with such an earlier flip in N(v);
-//     all other candidates commit without re-examination. Rule 2 under
-//     the ID policy never re-examines at all: its min-ID guard reads only
-//     neighbors above v, whose statuses are pre-pass by construction.
+//  2. Commit (sequential, cheap): the candidates form the worklist of one
+//     rule-engine sweep (engine.go) from the pre-pass snapshot into the
+//     output, in ascending ID order. A candidate's speculative verdict
+//     used pre-pass statuses for every neighbor; its slot verdict differs
+//     only if some neighbor u < v flipped earlier in THIS pass —
+//     unmarking only removes coverers, so speculation is invalidated in
+//     exactly one direction (eligible → ineligible, never the reverse).
+//     The sweep therefore re-decides a candidate only when such an earlier
+//     flip exists in N(v); every other candidate's verdict stands.
 //
 // The schedule runs once per rule template, mirroring ApplyRules exactly:
 // a Rule-1 speculate/commit against the marking snapshot, then a Rule-2
@@ -95,114 +93,50 @@ func ApplyRulesParallel(g *graph.Graph, p Policy, marked []bool, energy []float6
 // callers (the cdsd handlers) avoid the per-request allocation.
 func ApplyRulesParallelInto(g *graph.Graph, p Policy, marked []bool, energy []float64, workers int, dst []bool) error {
 	n := g.NumNodes()
-	if len(marked) != n {
-		panic("cds: marked slice length mismatch")
-	}
 	if len(dst) != n {
 		panic("cds: ApplyRulesParallelInto destination length mismatch")
 	}
-	copy(dst, marked)
-	if p == NR {
-		return nil
-	}
-	less, err := lessFor(p, g, energy)
+	_, r, err := begin(g, p, marked, energy, dst)
 	if err != nil {
 		return err
 	}
-	if workers = par.Workers(workers); workers <= 1 || n < 2*par.Block {
-		// Sequential path: the in-place sweeps ARE the reference
-		// semantics, so small instances skip the speculation scratch.
-		applyRule1(g, dst, less)
-		if p == ID {
-			applyRule2ID(g, dst)
-		} else {
-			applyRule2Priority(g, dst, less)
-		}
+	if workers = par.Workers(workers); p == NR || workers <= 1 || n < 2*par.Block {
+		// Sequential path: the in-place pass IS the reference semantics,
+		// so small instances skip the speculation scratch.
+		r.apply(dst, nil)
 		return nil
 	}
-
-	// pre holds the immutable pre-pass snapshot of the current rule
-	// template; cand the speculative verdicts. One backing array serves
-	// both rule templates.
-	buf := make([]bool, 2*n)
-	pre, cand := buf[:n], buf[n:]
-
-	// --- Rule 1 ---
-	copy(pre, dst)
-	par.For(n, workers, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			cand[v] = pre[v] && Rule1SlotEligible(g, pre, pre, less, graph.NodeID(v))
-		}
-	})
-	commitCandidates(g, pre, cand, dst, func(v graph.NodeID) bool {
-		return Rule1SlotEligible(g, pre, dst, less, v)
-	})
-
-	// --- Rule 2 ---
-	copy(pre, dst)
-	if p == ID {
-		// The min-ID guard reads only neighbors above v, whose statuses
-		// at slot v are always the pre-pass values: the speculative
-		// verdict IS the slot verdict, so every candidate commits.
-		par.For(n, workers, func(lo, hi int) {
-			for v := lo; v < hi; v++ {
-				if pre[v] && rule2IDSlotEligible(g, pre, graph.NodeID(v)) {
-					dst[v] = false
-				}
-			}
-		})
-		return nil
-	}
-	par.For(n, workers, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			cand[v] = pre[v] && rule2PrioritySlotEligible(g, pre, pre, less, graph.NodeID(v))
-		}
-	})
-	commitCandidates(g, pre, cand, dst, func(v graph.NodeID) bool {
-		return rule2PrioritySlotEligible(g, pre, dst, less, v)
-	})
+	speculate(r, dst, workers)
 	return nil
 }
 
-// commitCandidates walks the speculative candidates in ascending ID order
-// and applies each flip to gw, re-evaluating a candidate's slot predicate
-// (against the split pre/gw view) only when some neighbor below it has
-// already flipped in this pass — the only condition under which the
-// speculative verdict can differ from the slot verdict. pre is the
-// immutable pre-pass snapshot the speculation ran against.
-func commitCandidates(g *graph.Graph, pre, cand []bool, gw []bool, slotEligible func(graph.NodeID) bool) {
-	flips := 0
-	for v := 0; v < len(cand); v++ {
-		if !cand[v] {
-			continue
+// speculate runs the speculate/commit schedule over gw, which holds the
+// marking on entry and the gateway statuses on return. r is taken by
+// value so that only this path pays for the worker closure's copy.
+func speculate(r Rules, gw []bool, workers int) {
+	n := len(gw)
+	// pre holds the immutable pre-pass snapshot of the current rule
+	// template, cand the speculative verdicts; one backing array serves
+	// both templates.
+	buf := make([]bool, 2*n)
+	pre, cand := buf[:n], buf[n:]
+	// Never nil: a nil order would make the sweep visit every host.
+	cands := make([]graph.NodeID, 0, n)
+	for _, rule := range [2]slotRule{rule1, r.rule2} {
+		copy(pre, gw)
+		par.For(n, workers, func(lo, hi int) {
+			for v := lo; v < hi; v++ {
+				cand[v] = pre[v] && r.fires(rule, pre, pre, graph.NodeID(v))
+			}
+		})
+		cands = cands[:0]
+		for v, c := range cand {
+			if c {
+				cands = append(cands, graph.NodeID(v))
+			}
 		}
-		if flips > 0 && earlierFlipIn(g, pre, gw, graph.NodeID(v)) && !slotEligible(graph.NodeID(v)) {
-			continue
-		}
-		gw[v] = false
-		flips++
+		r.sweep(rule, pre, gw, slots{order: cands, speculated: true})
 	}
-}
-
-// earlierFlipIn reports whether any neighbor of v below v has flipped
-// during the current commit walk (pre marked, now unmarked). Neighbors
-// are sorted ascending, so the scan stops at the first id >= v.
-func earlierFlipIn(g *graph.Graph, pre, gw []bool, v graph.NodeID) bool {
-	for _, u := range g.Neighbors(v) {
-		if u >= v {
-			return false
-		}
-		if pre[u] && !gw[u] {
-			return true
-		}
-	}
-	return false
-}
-
-// ApplyRulesInto is ApplyRules writing into a caller-provided slice — the
-// sequential analogue of ApplyRulesParallelInto, used by pooled callers.
-func ApplyRulesInto(g *graph.Graph, p Policy, marked []bool, energy []float64, dst []bool) error {
-	return ApplyRulesParallelInto(g, p, marked, energy, 1, dst)
 }
 
 // ComputeParallel runs the marking process and the policy's rules across

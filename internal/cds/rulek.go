@@ -31,79 +31,74 @@ import "pacds/internal/graph"
 // ApplyRules) using the policy's priority order, and returns the resulting
 // gateway set. NR returns the marking unchanged.
 func ApplyRuleK(g *graph.Graph, p Policy, marked []bool, energy []float64) ([]bool, error) {
-	if len(marked) != g.NumNodes() {
-		panic("cds: marked slice length mismatch")
-	}
-	out := append([]bool(nil), marked...)
-	if p == NR {
-		return out, nil
-	}
-	less, err := lessFor(p, g, energy)
+	out, r, err := begin(g, p, marked, energy, nil)
 	if err != nil {
 		return nil, err
 	}
-
-	// Scratch buffers reused across nodes.
 	n := g.NumNodes()
-	eligible := make([]bool, n)
-	comp := make([]int, n)
-	var stack []graph.NodeID
+	r.k = &ruleKScratch{eligible: make([]bool, n), comp: make([]int, n)}
+	r.sweep(ruleK, out, out, slots{})
+	return out, nil
+}
 
-	for v := 0; v < n; v++ {
-		if !out[v] {
-			continue
-		}
-		vid := graph.NodeID(v)
-		nb := g.Neighbors(vid)
+// ruleKScratch holds the per-slot buffers of the Rule-k predicate, reused
+// across slots.
+type ruleKScratch struct {
+	eligible []bool
+	comp     []int
+	stack    []graph.NodeID
+}
 
-		// Eligible coverers: currently-marked neighbors with higher
-		// priority than v.
-		count := 0
-		for _, u := range nb {
-			el := out[u] && less(vid, u)
-			eligible[u] = el
-			if el {
-				comp[u] = -1
-				count++
-			}
-		}
-		if count == 0 {
-			continue
-		}
+// ruleK reports whether v's Rule-k slot fires: some connected component of
+// v's higher-priority gateway neighbors covers N(v).
+func (r *Rules) ruleK(before, after []bool, v graph.NodeID) bool {
+	g, k := r.g, r.k
+	nb := g.Neighbors(v)
 
-		// Label connected components of the eligible set (connectivity
-		// within G restricted to eligible nodes).
-		nextComp := 0
-		for _, u := range nb {
-			if !eligible[u] || comp[u] != -1 {
-				continue
-			}
-			comp[u] = nextComp
-			stack = append(stack[:0], u)
-			for len(stack) > 0 {
-				x := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				for _, y := range g.Neighbors(x) {
-					if eligible[y] && comp[y] == -1 {
-						comp[y] = nextComp
-						stack = append(stack, y)
-					}
-				}
-			}
-			nextComp++
-		}
-
-		// For each component, check whether its union covers N(v).
-		if coveredByComponent(g, vid, nb, eligible, comp, nextComp) {
-			out[v] = false
-		}
-
-		// Reset eligibility marks for the next v.
-		for _, u := range nb {
-			eligible[u] = false
+	// Eligible coverers: gateway neighbors with higher priority than v.
+	count := 0
+	for _, u := range nb {
+		el := statusAt(before, after, v, u) && r.less(v, u)
+		k.eligible[u] = el
+		if el {
+			k.comp[u] = -1
+			count++
 		}
 	}
-	return out, nil
+	if count == 0 {
+		return false
+	}
+
+	// Label connected components of the eligible set (connectivity
+	// within G restricted to eligible nodes).
+	nextComp := 0
+	for _, u := range nb {
+		if !k.eligible[u] || k.comp[u] != -1 {
+			continue
+		}
+		k.comp[u] = nextComp
+		k.stack = append(k.stack[:0], u)
+		for len(k.stack) > 0 {
+			x := k.stack[len(k.stack)-1]
+			k.stack = k.stack[:len(k.stack)-1]
+			for _, y := range g.Neighbors(x) {
+				if k.eligible[y] && k.comp[y] == -1 {
+					k.comp[y] = nextComp
+					k.stack = append(k.stack, y)
+				}
+			}
+		}
+		nextComp++
+	}
+
+	// For each component, check whether its union covers N(v).
+	fires := coveredByComponent(g, v, nb, k.eligible, k.comp, nextComp)
+
+	// Reset eligibility marks for the next slot.
+	for _, u := range nb {
+		k.eligible[u] = false
+	}
+	return fires
 }
 
 // coveredByComponent reports whether some eligible component's closed-

@@ -36,113 +36,13 @@ import "pacds/internal/graph"
 //
 //   - Rule 2 template (Rules 2a, 2b, 2b'): marked v with marked neighbors
 //     u, w and N(v) ⊆ N(u) ∪ N(w) unmarks itself according to the
-//     three-case mutual-coverage analysis (see rule2Covered below).
+//     three-case mutual-coverage analysis (see rule2Covered in slots.go).
 //
 //   - The original Rule 2 (ID) predates the three-case analysis: v unmarks
 //     itself iff N(v) ⊆ N(u) ∪ N(w) and id(v) = min{id(v), id(u), id(w)}.
-
-// rule1Eligible reports whether currently-marked v may unmark itself under
-// the Rule 1 template, evaluated against the current gateway state gw: some
-// marked neighbor u with less(v, u) has N[v] ⊆ N[u]. The rule is stated on
-// G', so the covering node u must currently be a gateway. Passing gw as
-// both halves of the slot view reproduces the in-place sweep semantics
-// exactly (see slots.go).
-func rule1Eligible(g *graph.Graph, gw []bool, less Less, v graph.NodeID) bool {
-	return Rule1SlotEligible(g, gw, gw, less, v)
-}
-
-// rule2IDEligible reports whether currently-marked v may unmark itself
-// under the original ID-keyed Rule 2: two currently-marked neighbors u, w
-// cover N(v) and v has the minimum ID of the three.
-func rule2IDEligible(g *graph.Graph, gw []bool, v graph.NodeID) bool {
-	return rule2IDSlotEligible(g, gw, v)
-}
-
-// rule2PriorityEligible reports whether currently-marked v may unmark
-// itself under the Rule 2a/2b/2b' template with the given priority order,
-// evaluated against the current gateway state gw.
-func rule2PriorityEligible(g *graph.Graph, gw []bool, less Less, v graph.NodeID) bool {
-	return rule2PrioritySlotEligible(g, gw, gw, less, v)
-}
-
-// ruleEligible reports whether marked v may unmark itself under either of
-// the policy's two rules — the per-node re-examination the dirty-queue
-// fixpoint performs.
-func ruleEligible(g *graph.Graph, p Policy, gw []bool, less Less, v graph.NodeID) bool {
-	if rule1Eligible(g, gw, less, v) {
-		return true
-	}
-	if p == ID {
-		return rule2IDEligible(g, gw, v)
-	}
-	return rule2PriorityEligible(g, gw, less, v)
-}
-
-// applyRule1 evaluates the Rule 1 template sequentially in ascending node
-// order, unmarking gw[v] in place. Premises are checked against the
-// current gateway state gw.
-func applyRule1(g *graph.Graph, gw []bool, less Less) {
-	for v := 0; v < g.NumNodes(); v++ {
-		if gw[v] && rule1Eligible(g, gw, less, graph.NodeID(v)) {
-			gw[v] = false
-		}
-	}
-}
-
-// applyRule2ID evaluates the original ID-keyed Rule 2 sequentially.
-func applyRule2ID(g *graph.Graph, gw []bool) {
-	for v := 0; v < g.NumNodes(); v++ {
-		if gw[v] && rule2IDEligible(g, gw, graph.NodeID(v)) {
-			gw[v] = false
-		}
-	}
-}
-
-// applyRule2Priority evaluates the Rule 2a/2b/2b' template sequentially
-// using the given priority order, against the current gateway state.
-func applyRule2Priority(g *graph.Graph, gw []bool, less Less) {
-	for v := 0; v < g.NumNodes(); v++ {
-		if gw[v] && rule2PriorityEligible(g, gw, less, graph.NodeID(v)) {
-			gw[v] = false
-		}
-	}
-}
-
-// rule2Covered reports whether marked node v may unmark itself given the
-// marked neighbor pair {u, w}, per the three-case analysis shared by Rules
-// 2a, 2b and 2b' (with the priority order supplying the nd/el/id
-// comparisons):
 //
-//	case 1: v covered by (u,w); neither u nor w covered by the other two
-//	        → unmark v unconditionally.
-//	case 2: v and exactly one of {u,w} covered (call it x); the other not
-//	        → unmark v iff v precedes x in the priority order.
-//	case 3: all three mutually covered
-//	        → unmark v iff v is the strict priority minimum of the three.
-//
-// The case conditions in the paper are written for a fixed labeling of u
-// and w; because the pair is unordered we canonicalize by which of the two
-// is covered. The paper's per-case condition lists (e.g. Rule 2a case 3's
-// "nd(v) < nd(u) and nd(v) < nd(w)", "nd(v) = nd(u) < nd(w) and
-// id(v) < id(u)", "all equal and id(v) minimal") are exactly "v is the
-// strict lexicographic minimum", which is what the Less order computes.
-func rule2Covered(g *graph.Graph, v, u, w graph.NodeID, less Less) bool {
-	if !g.OpenSubsetOfUnion(v, u, w) {
-		return false
-	}
-	cu := g.OpenSubsetOfUnion(u, v, w)
-	cw := g.OpenSubsetOfUnion(w, u, v)
-	switch {
-	case !cu && !cw: // case 1
-		return true
-	case cu && !cw: // case 2 with x = u
-		return less(v, u)
-	case !cu && cw: // case 2 with x = w
-		return less(v, w)
-	default: // case 3
-		return less(v, u) && less(v, w)
-	}
-}
+// Every entry point below binds the policy's rules once and runs them
+// through the rule engine (engine.go).
 
 // Result is the outcome of running the marking process and a policy's
 // rules over a graph.
@@ -203,23 +103,11 @@ func MustCompute(g *graph.Graph, p Policy, energy []float64) *Result {
 // snapshot and returns the resulting gateway statuses. The snapshot is not
 // modified.
 func ApplyRules(g *graph.Graph, p Policy, marked []bool, energy []float64) ([]bool, error) {
-	if len(marked) != g.NumNodes() {
-		panic("cds: marked slice length mismatch")
-	}
-	out := append([]bool(nil), marked...)
-	if p == NR {
-		return out, nil
-	}
-	less, err := lessFor(p, g, energy)
+	out, r, err := begin(g, p, marked, energy, nil)
 	if err != nil {
 		return nil, err
 	}
-	applyRule1(g, out, less)
-	if p == ID {
-		applyRule2ID(g, out)
-	} else {
-		applyRule2Priority(g, out, less)
-	}
+	r.apply(out, nil)
 	return out, nil
 }
 
@@ -229,33 +117,36 @@ func ApplyRules(g *graph.Graph, p Policy, marked []bool, energy []float64) ([]bo
 // ApplyRule1Only applies only the Rule 1 template (or original Rule 1 for
 // ID).
 func ApplyRule1Only(g *graph.Graph, p Policy, marked []bool, energy []float64) ([]bool, error) {
-	out := append([]bool(nil), marked...)
-	if p == NR {
-		return out, nil
-	}
-	less, err := lessFor(p, g, energy)
+	out, r, err := begin(g, p, marked, energy, nil)
 	if err != nil {
 		return nil, err
 	}
-	applyRule1(g, out, less)
+	r.sweep(rule1, out, out, slots{})
 	return out, nil
 }
 
 // ApplyRule2Only applies only the Rule 2 template (or original Rule 2 for
 // ID).
 func ApplyRule2Only(g *graph.Graph, p Policy, marked []bool, energy []float64) ([]bool, error) {
-	out := append([]bool(nil), marked...)
-	if p == NR {
-		return out, nil
-	}
-	less, err := lessFor(p, g, energy)
+	out, r, err := begin(g, p, marked, energy, nil)
 	if err != nil {
 		return nil, err
 	}
-	if p == ID {
-		applyRule2ID(g, out)
-	} else {
-		applyRule2Priority(g, out, less)
-	}
+	r.sweep(r.rule2, out, out, slots{})
 	return out, nil
+}
+
+// begin is the shared entry of the public rule functions: it checks the
+// marking's length, copies it into dst (allocated when nil) and binds the
+// policy's rules.
+func begin(g *graph.Graph, p Policy, marked []bool, energy []float64, dst []bool) ([]bool, Rules, error) {
+	if len(marked) != g.NumNodes() {
+		panic("cds: marked slice length mismatch")
+	}
+	if dst == nil {
+		dst = make([]bool, len(marked))
+	}
+	copy(dst, marked)
+	r, err := Bind(g, p, energy)
+	return dst, r, err
 }

@@ -443,3 +443,43 @@ func TestMustComputePanics(t *testing.T) {
 	}()
 	MustCompute(graph.Path(3), EL1, nil)
 }
+
+// TestRuleEntryPointsCheckLength pins the one length check every public
+// rule entry point shares: a marking shorter or longer than the graph
+// panics with the same message, for every policy, instead of dying on an
+// index or returning a gateway vector of the wrong length.
+func TestRuleEntryPointsCheckLength(t *testing.T) {
+	g := graph.Path(6)
+	n := g.NumNodes()
+	order := make([]graph.NodeID, n)
+	for v := range order {
+		order[v] = graph.NodeID(v)
+	}
+	energy := make([]float64, n)
+	entries := map[string]func(Policy, []bool){
+		"ApplyRules":         func(p Policy, m []bool) { _, _ = ApplyRules(g, p, m, energy) },
+		"ApplyRule1Only":     func(p Policy, m []bool) { _, _ = ApplyRule1Only(g, p, m, energy) },
+		"ApplyRule2Only":     func(p Policy, m []bool) { _, _ = ApplyRule2Only(g, p, m, energy) },
+		"ApplyRulesOrdered":  func(p Policy, m []bool) { _, _ = ApplyRulesOrdered(g, p, m, energy, order) },
+		"ApplyRuleK":         func(p Policy, m []bool) { _, _ = ApplyRuleK(g, p, m, energy) },
+		"ApplyRulesFixpoint": func(p Policy, m []bool) { _, _, _ = ApplyRulesFixpoint(g, p, m, energy) },
+		"ApplyRulesParallel": func(p Policy, m []bool) { _, _ = ApplyRulesParallel(g, p, m, energy, 1) },
+		"ApplyRulesParallelInto": func(p Policy, m []bool) {
+			_ = ApplyRulesParallelInto(g, p, m, energy, 1, make([]bool, n))
+		},
+	}
+	for name, call := range entries {
+		for _, size := range []int{n - 1, n + 1} {
+			for _, p := range Policies {
+				func() {
+					defer func() {
+						if got := recover(); got != "cds: marked slice length mismatch" {
+							t.Errorf("%s(%v) with %d markers for %d nodes: recovered %v", name, p, size, n, got)
+						}
+					}()
+					call(p, make([]bool, size))
+				}()
+			}
+		}
+	}
+}

@@ -2,19 +2,18 @@ package cds
 
 import "pacds/internal/graph"
 
-// Slot-view rule evaluation.
+// Slot predicates under the split view.
 //
 // The sequential semantics of ApplyRules (see rules.go) walks the nodes in
 // ascending ID order with every premise judged against the gateway state
 // as it stands at that node's slot. When the whole sweep runs over one
 // in-place array, that state is implicit: entries below the cursor already
 // hold their post-sweep value, entries at or above it still hold their
-// pre-sweep value. The incremental maintenance path (package distributed)
-// re-runs only a subset of slots, so the two halves of that view live in
-// separate arrays — `after` for decided slots (u < v) and `before` for
-// undecided ones (u >= v). The functions below make that split view
-// explicit; the classic full-sweep callers pass the same array twice and
-// get exactly the old behavior.
+// pre-sweep value. A sweep that re-runs only a subset of slots (the
+// session's frontier, the parallel commit) keeps the two halves of that
+// view in separate arrays — `after` for decided slots (u < v) and `before`
+// for undecided ones (u >= v). The predicates below read the view through
+// statusAt; whole-graph sweeps pass the same array twice.
 
 // statusAt reads node u's gateway status as seen from node v's slot.
 func statusAt(before, after []bool, v, u graph.NodeID) bool {
@@ -24,11 +23,11 @@ func statusAt(before, after []bool, v, u graph.NodeID) bool {
 	return before[u]
 }
 
-// Rule1SlotEligible reports whether node v's Rule-1 slot fires: v is
-// currently a gateway (callers check that against the view they maintain)
-// and some gateway neighbor u with less(v, u) has N[v] ⊆ N[u]. Statuses of
-// neighbors below v are read from after, the rest from before.
-func Rule1SlotEligible(g *graph.Graph, before, after []bool, less Less, v graph.NodeID) bool {
+// rule1 reports whether v's Rule-1 slot fires (Rules 1, 1a, 1b, 1b'):
+// some gateway neighbor u with less(v, u) has N[v] ⊆ N[u]. The rule is
+// stated on G', so the covering node u must currently be a gateway.
+func (r *Rules) rule1(before, after []bool, v graph.NodeID) bool {
+	g, less := r.g, r.less
 	for _, u := range g.Neighbors(v) {
 		if statusAt(before, after, v, u) && less(v, u) && g.ClosedSubset(v, u) {
 			return true
@@ -37,10 +36,12 @@ func Rule1SlotEligible(g *graph.Graph, before, after []bool, less Less, v graph.
 	return false
 }
 
-// rule2IDSlotEligible is the original ID-keyed Rule 2 under the split
-// view. The min-ID guard skips every neighbor below v, so only before
-// values are ever read.
-func rule2IDSlotEligible(g *graph.Graph, before []bool, v graph.NodeID) bool {
+// rule2ID reports whether v's slot fires under the original ID-keyed
+// Rule 2: two gateway neighbors u, w cover N(v) and v has the minimum ID
+// of the three. The min-ID guard skips every neighbor below v, so only
+// before values are ever read.
+func (r *Rules) rule2ID(before []bool, v graph.NodeID) bool {
+	g := r.g
 	nb := g.Neighbors(v)
 	for i := 0; i < len(nb); i++ {
 		u := nb[i]
@@ -64,9 +65,10 @@ func rule2IDSlotEligible(g *graph.Graph, before []bool, v graph.NodeID) bool {
 	return false
 }
 
-// rule2PrioritySlotEligible is the Rule 2a/2b/2b' template under the
-// split view.
-func rule2PrioritySlotEligible(g *graph.Graph, before, after []bool, less Less, v graph.NodeID) bool {
+// rule2Priority reports whether v's slot fires under the Rule 2a/2b/2b'
+// template: some pair of gateway neighbors passes rule2Covered.
+func (r *Rules) rule2Priority(before, after []bool, v graph.NodeID) bool {
+	g, less := r.g, r.less
 	nb := g.Neighbors(v)
 	for i := 0; i < len(nb); i++ {
 		u := nb[i]
@@ -86,21 +88,38 @@ func rule2PrioritySlotEligible(g *graph.Graph, before, after []bool, less Less, 
 	return false
 }
 
-// Rule2SlotEligible reports whether node v's Rule-2 slot fires under the
-// policy's Rule 2 variant, with the same split-view contract as
-// Rule1SlotEligible. The policy must not be NR.
-func Rule2SlotEligible(g *graph.Graph, p Policy, before, after []bool, less Less, v graph.NodeID) bool {
-	if p == ID {
-		return rule2IDSlotEligible(g, before, v)
+// rule2Covered reports whether marked node v may unmark itself given the
+// marked neighbor pair {u, w}, per the three-case analysis shared by Rules
+// 2a, 2b and 2b' (with the priority order supplying the nd/el/id
+// comparisons):
+//
+//	case 1: v covered by (u,w); neither u nor w covered by the other two
+//	        → unmark v unconditionally.
+//	case 2: v and exactly one of {u,w} covered (call it x); the other not
+//	        → unmark v iff v precedes x in the priority order.
+//	case 3: all three mutually covered
+//	        → unmark v iff v is the strict priority minimum of the three.
+//
+// The case conditions in the paper are written for a fixed labeling of u
+// and w; because the pair is unordered we canonicalize by which of the two
+// is covered. The paper's per-case condition lists (e.g. Rule 2a case 3's
+// "nd(v) < nd(u) and nd(v) < nd(w)", "nd(v) = nd(u) < nd(w) and
+// id(v) < id(u)", "all equal and id(v) minimal") are exactly "v is the
+// strict lexicographic minimum", which is what the Less order computes.
+func rule2Covered(g *graph.Graph, v, u, w graph.NodeID, less Less) bool {
+	if !g.OpenSubsetOfUnion(v, u, w) {
+		return false
 	}
-	return rule2PrioritySlotEligible(g, before, after, less, v)
-}
-
-// LessFor builds the policy's priority order for external rule-slot
-// callers: closures over g's current degrees and the energy slice's
-// current values, so in-place updates to either are visible to later
-// calls. energy may be nil for policies that do not need it; it is indexed
-// by node id and must not be reallocated by the caller afterwards.
-func LessFor(p Policy, g *graph.Graph, energy []float64) (Less, error) {
-	return lessFor(p, g, energy)
+	cu := g.OpenSubsetOfUnion(u, v, w)
+	cw := g.OpenSubsetOfUnion(w, u, v)
+	switch {
+	case !cu && !cw: // case 1
+		return true
+	case cu && !cw: // case 2 with x = u
+		return less(v, u)
+	case !cu && cw: // case 2 with x = w
+		return less(v, w)
+	default: // case 3
+		return less(v, u) && less(v, w)
+	}
 }

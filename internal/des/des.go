@@ -103,10 +103,16 @@ func Run(g *graph.Graph, cfg Config, energy []float64) (*Result, error) {
 		res.Violation = cds.VerifyCDS(g, res.Gateway)
 		return res, nil
 	}
+	rules, err := cds.Bind(g, cfg.Policy, energy)
+	if err != nil {
+		return nil, err
+	}
 
 	rng := xrand.New(cfg.Seed)
-	// view[v][u] is v's belief about u's gateway status (u ∈ N(v)).
+	// view[v][u] is v's belief about u's gateway status (u ∈ N(v)); local
+	// lays the evaluating host's view out by node id for the rules.
 	view := make([]map[graph.NodeID]bool, n)
+	local := make([]bool, n)
 	for v := 0; v < n; v++ {
 		view[v] = make(map[graph.NodeID]bool, g.Degree(graph.NodeID(v)))
 		for _, u := range g.Neighbors(graph.NodeID(v)) {
@@ -143,7 +149,10 @@ func Run(g *graph.Graph, cfg Config, energy []float64) (*Result, error) {
 			if !res.Gateway[v] {
 				continue
 			}
-			if tryRulesWithView(g, cfg.Policy, energy, v, view[v]) {
+			for _, u := range g.Neighbors(v) {
+				local[u] = view[v][u]
+			}
+			if rules.Fires(local, v) {
 				res.Gateway[v] = false
 				res.Unmarked++
 				for _, u := range g.Neighbors(v) {
@@ -156,110 +165,6 @@ func Run(g *graph.Graph, cfg Config, energy []float64) (*Result, error) {
 	}
 	res.Violation = cds.VerifyCDS(g, res.Gateway)
 	return res, nil
-}
-
-// tryRulesWithView evaluates Rule 1 then Rule 2 for v against v's local
-// (possibly stale) view of neighbor statuses.
-func tryRulesWithView(g *graph.Graph, p cds.Policy, energy []float64,
-	v graph.NodeID, view map[graph.NodeID]bool) bool {
-	less, err := lessFor(p, g, energy)
-	if err != nil {
-		return false
-	}
-	nb := g.Neighbors(v)
-	// Rule 1.
-	for _, u := range nb {
-		if !view[u] {
-			continue
-		}
-		if less(v, u) && g.ClosedSubset(v, u) {
-			return true
-		}
-	}
-	// Rule 2.
-	for i := 0; i < len(nb); i++ {
-		u := nb[i]
-		if !view[u] {
-			continue
-		}
-		if p == cds.ID && u < v {
-			continue
-		}
-		for j := i + 1; j < len(nb); j++ {
-			w := nb[j]
-			if !view[w] {
-				continue
-			}
-			if p == cds.ID {
-				if w < v {
-					continue
-				}
-				if g.OpenSubsetOfUnion(v, u, w) {
-					return true
-				}
-				continue
-			}
-			if rule2CoveredLocal(g, v, u, w, less) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// lessFor mirrors the cds package's priority orders; duplicated here
-// because the cds internals are unexported. The orders are small and
-// fully specified by the paper.
-func lessFor(p cds.Policy, g *graph.Graph, energy []float64) (func(a, b graph.NodeID) bool, error) {
-	switch p {
-	case cds.ID:
-		return func(a, b graph.NodeID) bool { return a < b }, nil
-	case cds.ND:
-		return func(a, b graph.NodeID) bool {
-			da, db := g.Degree(a), g.Degree(b)
-			if da != db {
-				return da < db
-			}
-			return a < b
-		}, nil
-	case cds.EL1:
-		return func(a, b graph.NodeID) bool {
-			if energy[a] != energy[b] {
-				return energy[a] < energy[b]
-			}
-			return a < b
-		}, nil
-	case cds.EL2:
-		return func(a, b graph.NodeID) bool {
-			if energy[a] != energy[b] {
-				return energy[a] < energy[b]
-			}
-			da, db := g.Degree(a), g.Degree(b)
-			if da != db {
-				return da < db
-			}
-			return a < b
-		}, nil
-	}
-	return nil, fmt.Errorf("des: unsupported policy %v", p)
-}
-
-func rule2CoveredLocal(g *graph.Graph, v, u, w graph.NodeID, less func(a, b graph.NodeID) bool) bool {
-	if !g.OpenSubsetOfUnion(v, u, w) {
-		return false
-	}
-	cu := g.OpenSubsetOfUnion(u, v, w)
-	cw := g.OpenSubsetOfUnion(w, u, v)
-	switch {
-	case !cu && !cw:
-		return true
-	case cu && !cw:
-		return less(v, u)
-	case !cu && cw:
-		return less(v, w)
-	default:
-		return less(v, u) && less(v, w)
-	}
 }
 
 // ViolationRate runs trials independent asynchronous executions on fresh

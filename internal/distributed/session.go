@@ -3,7 +3,6 @@ package distributed
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 
 	"pacds/internal/cds"
@@ -19,12 +18,6 @@ import (
 // not match the sentinel (e.g. a self link) indicate caller bugs and are
 // fatal.
 var ErrStale = errors.New("distributed: stale session input")
-
-// sessionBitsetMaxNodes bounds the session sizes for which NewSession
-// enables the graph's dense bitset adjacency view (mirrors the udg
-// builder's limit): Θ(N²/64) memory in exchange for word-parallel subset
-// kernels in the rule slots.
-const sessionBitsetMaxNodes = 4096
 
 // Session maintains a connected dominating set across topology changes
 // with localized traffic AND localized computation — the paper's Section
@@ -63,77 +56,22 @@ type Session struct {
 	// with the global graph at rule-phase time, so the frontier slots can be
 	// evaluated against these mirrors with the graph's bitset kernels
 	// instead of per-host map lookups — same answers, far cheaper.
-	less      cds.Less  // policy priority order; nil for NR
-	energyArr []float64 // mutated in place, never reallocated (less closes over it)
+	rules     cds.Rules // policy rules bound to g and energyArr
+	energyArr []float64 // mutated in place, never reallocated (rules' priority order closes over it)
 	markerArr []bool    // m(v) after the latest marking recomputation
 	gw1       []bool    // statuses after the latest Rule-1 sweep
 	gw2       []bool    // final statuses; always equals the hosts' gateway flags
 
 	// Batch-scoped scratch sets, epoch-stamped so a maintenance interval
 	// allocates nothing in steady state.
-	linkChanged  stampSet // hosts whose own link set changed
-	affected     stampSet // hosts whose marker may change
-	seed         stampSet // initial dirty frontier for the rule phase
-	f1, f2       stampSet // per-sweep frontiers (Rule 1, Rule 2)
-	pendingDirty stampSet // energy-dirty hosts awaiting the next rule phase
+	linkChanged  cds.Worklist // hosts whose own link set changed
+	affected     cds.Worklist // hosts whose marker may change
+	seed         cds.Worklist // dirty frontier: the Rule-1 worklist
+	f2           cds.Worklist // Rule-2 worklist
+	pendingDirty cds.Worklist // energy-dirty hosts awaiting the next rule phase
 
 	lastFrontier int
 	fullSweep    bool // test oracle: unconditional full sweep per interval
-}
-
-// stampSet is an epoch-stamped node set: O(1) add/has and O(1) reset with
-// no per-batch allocation. stamp[v] == cur means v is a member; reset bumps
-// cur, invalidating every stamp at once (with a linear clear only on the
-// practically-unreachable uint32 wraparound). list holds the members in
-// insertion order.
-type stampSet struct {
-	stamp []uint32
-	cur   uint32
-	list  []graph.NodeID
-}
-
-func (s *stampSet) init(n int) {
-	s.stamp = make([]uint32, n)
-	s.cur = 1
-}
-
-func (s *stampSet) reset() {
-	s.cur++
-	if s.cur == 0 {
-		for i := range s.stamp {
-			s.stamp[i] = 0
-		}
-		s.cur = 1
-	}
-	s.list = s.list[:0]
-}
-
-func (s *stampSet) add(v graph.NodeID) {
-	if s.stamp[v] == s.cur {
-		return
-	}
-	s.stamp[v] = s.cur
-	s.list = append(s.list, v)
-}
-
-func (s *stampSet) has(v graph.NodeID) bool { return s.stamp[v] == s.cur }
-
-func (s *stampSet) sort() { slices.Sort(s.list) }
-
-// scheduleAfter admits v into a sorted, in-progress sweep whose cursor is
-// at index i. Cascade targets always lie strictly above the node being
-// processed, so a v already present is necessarily at an index > i and the
-// membership stamp alone is a safe dedup.
-func (s *stampSet) scheduleAfter(v graph.NodeID, i int) {
-	if s.stamp[v] == s.cur {
-		return
-	}
-	s.stamp[v] = s.cur
-	tail := s.list[i+1:]
-	j := i + 1 + sort.Search(len(tail), func(k int) bool { return tail[k] >= v })
-	s.list = append(s.list, 0)
-	copy(s.list[j+1:], s.list[j:])
-	s.list[j] = v
 }
 
 // EdgeChange is one link-layer event: link {A, B} appeared (Up) or
@@ -159,21 +97,18 @@ func NewSession(g *graph.Graph, p cds.Policy, energy []float64) (*Session, error
 		gw1:       make([]bool, n),
 		gw2:       make([]bool, n),
 	}
-	if n <= sessionBitsetMaxNodes {
-		s.g.EnableBitset()
-	}
+	s.g.AutoBitset()
 	copy(s.energyArr, energy)
-	less, err := cds.LessFor(p, s.g, s.energyArr)
+	rules, err := cds.Bind(s.g, p, s.energyArr)
 	if err != nil {
 		return nil, err
 	}
-	s.less = less
-	s.linkChanged.init(n)
-	s.affected.init(n)
-	s.seed.init(n)
-	s.f1.init(n)
-	s.f2.init(n)
-	s.pendingDirty.init(n)
+	s.rules = rules
+	s.linkChanged.Init(n)
+	s.affected.Init(n)
+	s.seed.Init(n)
+	s.f2.Init(n)
+	s.pendingDirty.Init(n)
 	s.nw = newNetwork(s.g)
 	for v := 0; v < n; v++ {
 		s.nodes[v] = newNode(graph.NodeID(v), s.energyArr[v])
@@ -294,9 +229,9 @@ func (s *Session) UpdateEnergy(energy []float64) error {
 		if s.policy.NeedsEnergy() {
 			// The priority order reads el() of a slot's neighbors, so a
 			// changed level dirties the host and everyone adjacent to it.
-			s.pendingDirty.add(nd.id)
+			s.pendingDirty.Add(nd.id)
 			for _, u := range s.g.Neighbors(nd.id) {
-				s.pendingDirty.add(u)
+				s.pendingDirty.Add(u)
 			}
 		}
 	}
@@ -325,9 +260,9 @@ func (s *Session) ApplyChanges(changes []EdgeChange) (int, error) {
 	// marker could change (endpoints ∪ common neighbors, computed before
 	// and after each toggle — membership of the common-neighbor set is
 	// unchanged by toggling {a, b} itself).
-	s.linkChanged.reset()
-	s.affected.reset()
-	s.seed.reset()
+	s.linkChanged.Reset()
+	s.affected.Reset()
+	s.seed.Reset()
 	for _, ch := range changes {
 		if ch.Up {
 			if s.g.HasEdge(ch.A, ch.B) {
@@ -339,12 +274,12 @@ func (s *Session) ApplyChanges(changes []EdgeChange) (int, error) {
 				continue
 			}
 		}
-		s.linkChanged.add(ch.A)
-		s.linkChanged.add(ch.B)
-		s.affected.add(ch.A)
-		s.affected.add(ch.B)
+		s.linkChanged.Add(ch.A)
+		s.linkChanged.Add(ch.B)
+		s.affected.Add(ch.A)
+		s.affected.Add(ch.B)
 		s.g.ForEachCommonNeighbor(ch.A, ch.B, func(u graph.NodeID) {
-			s.affected.add(u)
+			s.affected.Add(u)
 		})
 		// Link-layer beacon detection: the endpoints learn the change
 		// directly.
@@ -365,7 +300,7 @@ func (s *Session) ApplyChanges(changes []EdgeChange) (int, error) {
 	}
 
 	// Hosts with changed link sets broadcast their new neighbor lists.
-	for _, v := range s.linkChanged.list {
+	for _, v := range s.linkChanged.List() {
 		nd := s.nodes[v]
 		s.nw.broadcast(Message{From: nd.id, Kind: NeighborList, Neighbors: nd.nbrs, Energy: nd.energy})
 	}
@@ -378,21 +313,21 @@ func (s *Session) ApplyChanges(changes []EdgeChange) (int, error) {
 	// unconditionally, because a NEW neighbor has no stored marker for
 	// them yet (in a real system the status rides on the beacon). A marker
 	// flip dirties the flipped host and its readers — its neighbors.
-	s.affected.sort()
+	s.affected.Sort()
 	changed := 0
-	for _, v := range s.affected.list {
+	for _, v := range s.affected.List() {
 		nd := s.nodes[v]
 		old := nd.marker
 		nd.computeMarker()
 		s.markerArr[v] = nd.marker
 		if nd.marker != old {
 			changed++
-			s.seed.add(v)
+			s.seed.Add(v)
 			for _, u := range s.g.Neighbors(v) {
-				s.seed.add(u)
+				s.seed.Add(u)
 			}
 		}
-		if nd.marker != old || s.linkChanged.has(v) {
+		if nd.marker != old || s.linkChanged.Has(v) {
 			s.nw.broadcast(Message{From: nd.id, Kind: Status, Marked: nd.marker})
 		}
 	}
@@ -404,16 +339,16 @@ func (s *Session) ApplyChanges(changes []EdgeChange) (int, error) {
 	// have changed: the rules read adjacency, degree, and energy only
 	// within N[v], so changed links dirty their endpoints plus neighbors,
 	// and energy updates queued the analogous set in pendingDirty.
-	for _, v := range s.linkChanged.list {
-		s.seed.add(v)
+	for _, v := range s.linkChanged.List() {
+		s.seed.Add(v)
 		for _, u := range s.g.Neighbors(v) {
-			s.seed.add(u)
+			s.seed.Add(u)
 		}
 	}
-	for _, v := range s.pendingDirty.list {
-		s.seed.add(v)
+	for _, v := range s.pendingDirty.List() {
+		s.seed.Add(v)
 	}
-	s.pendingDirty.reset()
+	s.pendingDirty.Reset()
 
 	if s.fullSweep {
 		runRulePhaseRecord(s.nw, s.nodes, s.policy, s.gw1)
@@ -428,86 +363,34 @@ func (s *Session) ApplyChanges(changes []EdgeChange) (int, error) {
 	return changed, nil
 }
 
-// incrementalRulePhase re-evaluates the rule slots of the seeded dirty
-// frontier, growing it with the cascades a full ID-ordered sweep would
-// propagate, and commits the resulting status flips to the hosts with one
-// batched StatusUpdate round. The final gw1/gw2 arrays are identical to
-// what runRulePhase would produce from the current markers (the property
-// tests replay histories against the full-sweep oracle to check exactly
-// this):
-//
-//   - A slot outside the frontier keeps its previous value, which is
-//     correct because none of its inputs (adjacency, degree, energy,
-//     markers, or the statuses visible at its slot) changed.
-//   - A slot inside the frontier is evaluated under the split view
-//     (cds.Rule1SlotEligible / Rule2SlotEligible): decided slots below it
-//     read the updated array, undecided slots above it read the
-//     previous-sweep array — exactly the state a full sweep would show it.
-//   - When a re-evaluated slot flips, its readers are admitted: Rule-1
-//     flips schedule the higher-ID neighbors into the Rule-1 sweep and all
-//     neighbors into the Rule-2 sweep (gw1 is every Rule-2 slot's
-//     baseline); Rule-2 flips schedule the higher-ID neighbors.
+// incrementalRulePhase re-decides the rule slots of the seeded dirty
+// frontier through the rule engine (cds.Rules.Resweep, which grows it
+// with the cascades a full ID-ordered sweep would propagate) and commits
+// the resulting status flips to the hosts with one batched StatusUpdate
+// round. The final gw1/gw2 arrays are identical to what runRulePhase
+// would produce from the current markers; the property tests replay
+// histories against the full-sweep oracle to check exactly this.
 func (s *Session) incrementalRulePhase() {
-	s.seed.sort()
 	if s.policy == cds.NR {
 		// No rules: a host's gateway status is its marker, with no
 		// status-update traffic (matching the full phase, which only
 		// resets local state for NR).
-		for _, v := range s.seed.list {
+		for _, v := range s.seed.List() {
 			nd := s.nodes[v]
 			s.gw1[v] = nd.marker
 			s.gw2[v] = nd.marker
 			nd.gateway = nd.marker
 		}
-		s.lastFrontier = len(s.seed.list)
+		s.lastFrontier = len(s.seed.List())
 		return
 	}
-
-	// Rule-1 sweep over the frontier, ascending. Every seeded slot is also
-	// a Rule-2 candidate (the static inputs feed both rules); cascade
-	// admissions enter f2 via the flip handler below.
-	s.f1.reset()
-	s.f2.reset()
-	for _, v := range s.seed.list {
-		s.f1.add(v)
-		s.f2.add(v)
-	}
-	for i := 0; i < len(s.f1.list); i++ {
-		v := s.f1.list[i]
-		now := s.markerArr[v] && !cds.Rule1SlotEligible(s.g, s.markerArr, s.gw1, s.less, v)
-		if now == s.gw1[v] {
-			continue
-		}
-		s.gw1[v] = now
-		for _, u := range s.g.Neighbors(v) {
-			if u > v {
-				s.f1.scheduleAfter(u, i)
-			}
-			s.f2.add(u)
-		}
-	}
-
-	// Rule-2 sweep over its frontier, ascending.
-	s.f2.sort()
-	for i := 0; i < len(s.f2.list); i++ {
-		v := s.f2.list[i]
-		now := s.gw1[v] && !cds.Rule2SlotEligible(s.g, s.policy, s.gw1, s.gw2, s.less, v)
-		if now == s.gw2[v] {
-			continue
-		}
-		s.gw2[v] = now
-		for _, u := range s.g.Neighbors(v) {
-			if u > v {
-				s.f2.scheduleAfter(u, i)
-			}
-		}
-	}
+	s.rules.Resweep(s.markerArr, s.gw1, s.gw2, &s.seed, &s.f2)
 
 	// Commit: one StatusUpdate per host whose final status changed,
 	// delivered in a single round. (The bootstrap sweep pays one round per
 	// unmark because its slot serialization is load-bearing; here the
 	// final statuses are already decided, so the survivors batch.)
-	for _, v := range s.f2.list {
+	for _, v := range s.f2.List() {
 		nd := s.nodes[v]
 		if nd.gateway == s.gw2[v] {
 			continue
@@ -519,7 +402,7 @@ func (s *Session) incrementalRulePhase() {
 	if len(s.nw.pending) > 0 {
 		s.nw.deliver(s.nodes)
 	}
-	s.lastFrontier = len(s.f2.list)
+	s.lastFrontier = len(s.f2.List())
 }
 
 func removeSorted(list []graph.NodeID, v graph.NodeID) []graph.NodeID {

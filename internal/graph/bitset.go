@@ -12,12 +12,13 @@ package graph
 //	N(v) ⊆ N(u) ∪ N(w) ⇔  bits(v) &^ (bits(u) | bits(w)) == 0
 //
 // The view is opt-in (EnableBitset) because it costs Θ(n²/64) memory; the
-// unit-disk generators enable it for every instance they build (see package
-// udg), so the simulator's hot paths get the fast kernels without any
-// call-site changes. Once enabled, the view is kept current incrementally by
-// AddEdge/RemoveEdge, and the backing storage is retained across
-// EnableBitset calls so rebuilding the view for a same-sized graph (the
-// mobility loop's rebuild-every-interval pattern) allocates nothing.
+// unit-disk generators enable it through AutoBitset for every instance up
+// to BitsetMaxNodes nodes (see package udg), so the simulator's hot paths
+// get the fast kernels without any call-site changes. Once enabled, the
+// view is kept current incrementally by AddEdge/RemoveEdge, and the
+// backing storage is retained across EnableBitset calls so rebuilding the
+// view for a same-sized graph (the mobility loop's rebuild-every-interval
+// pattern) allocates nothing.
 //
 // Set operations dispatch to the bitset path only when the operand degrees
 // exceed a words-per-row threshold; below it the merge scan touches less
@@ -74,6 +75,22 @@ func (b *bitsetAdj) row(v NodeID) Bitset {
 // 64 element comparisons, but the bitset always touches `words` words per
 // row regardless of degree, so sparse rows stay on the merge scan.
 func (b *bitsetAdj) worth(deg int) bool { return deg >= b.words }
+
+// BitsetMaxNodes bounds the graphs AutoBitset gives the dense view: it
+// costs Θ(n²/64) memory, 2 MiB at the limit. Larger graphs stay on the
+// allocation-free merge scans.
+const BitsetMaxNodes = 4096
+
+// AutoBitset applies the one dense-view policy every graph builder
+// shares: graphs of at most BitsetMaxNodes nodes, the empty graph
+// included, get the bitset view; larger graphs are left as they are.
+// Builders call it on every path, so a graph takes the same kernel
+// dispatch whichever builder produced it.
+func (g *Graph) AutoBitset() {
+	if len(g.adj) <= BitsetMaxNodes {
+		g.EnableBitset()
+	}
+}
 
 // EnableBitset builds (or refreshes) the dense adjacency view from the
 // current edge set. The view is kept current by AddEdge/RemoveEdge, so

@@ -28,8 +28,8 @@ const buildParallelCutoff = 2 * par.Block
 
 // BuildParallel is Build across a worker pool. workers <= 0 selects
 // GOMAXPROCS; 1 (or a small instance) falls back to the sequential Build.
-// Like Build, instances up to bitsetNodeLimit nodes get the dense bitset
-// adjacency view.
+// Like Build, the graph gets the dense bitset adjacency view under
+// graph.AutoBitset's policy.
 func BuildParallel(positions []geom.Point, field geom.Rect, radius float64, workers int) *graph.Graph {
 	n := len(positions)
 	if workers = par.Workers(workers); workers <= 1 || n < buildParallelCutoff {
@@ -87,8 +87,6 @@ func BuildParallel(positions []geom.Point, field geom.Rect, radius float64, work
 	})
 
 	g := graph.FromSortedAdjacency(adj)
-	if n <= bitsetNodeLimit {
-		g.EnableBitset()
-	}
+	g.AutoBitset()
 	return g
 }

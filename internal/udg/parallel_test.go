@@ -28,9 +28,10 @@ func layoutPositions(layout int, c Config, rng *xrand.RNG) []geom.Point {
 	}
 }
 
-// TestBuildParallelMatchesBuild pins BuildParallel ≡ Build (graph.Equal
-// plus matching bitset configuration) across worker counts, the
-// sequential-fallback boundary, and all three placement families.
+// TestBuildParallelMatchesBuild pins BuildParallel ≡ Build ≡ BuildBrute
+// (graph.Equal plus matching bitset configuration) across worker counts,
+// the sequential-fallback boundary (the empty instance included), and all
+// three placement families.
 func TestBuildParallelMatchesBuild(t *testing.T) {
 	rng := xrand.New(77)
 	sizes := []int{0, 1, 50, buildParallelCutoff - 1, buildParallelCutoff, 900, 1500}
@@ -39,6 +40,11 @@ func TestBuildParallelMatchesBuild(t *testing.T) {
 			c := Config{N: n, Field: geom.Square(60 + rng.Float64()*240), Radius: 5 + rng.Float64()*30}
 			pos := layoutPositions(layout, c, rng)
 			want := Build(pos, c.Field, c.Radius)
+			brute := BuildBrute(pos, c.Radius)
+			if !graph.Equal(want, brute) || want.BitsetEnabled() != brute.BitsetEnabled() {
+				t.Fatalf("layout=%d n=%d: BuildBrute != Build (bitset %v vs %v)",
+					layout, n, brute.BitsetEnabled(), want.BitsetEnabled())
+			}
 			for _, w := range []int{0, 1, 2, 3, 8} {
 				got := BuildParallel(pos, c.Field, c.Radius, w)
 				if !graph.Equal(want, got) {
@@ -59,11 +65,11 @@ func TestBuildParallelLargeSkipsBitset(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large instance")
 	}
-	c := Config{N: bitsetNodeLimit + 100, Field: geom.Square(400), Radius: 12}
+	c := Config{N: graph.BitsetMaxNodes + 100, Field: geom.Square(400), Radius: 12}
 	pos := RandomPositions(c, xrand.New(3))
 	g := BuildParallel(pos, c.Field, c.Radius, 4)
 	if g.BitsetEnabled() {
-		t.Fatal("bitset enabled above bitsetNodeLimit")
+		t.Fatal("bitset enabled above graph.BitsetMaxNodes")
 	}
 	if !graph.Equal(g, Build(pos, c.Field, c.Radius)) {
 		t.Fatal("BuildParallel != Build at large n")

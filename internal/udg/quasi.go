@@ -58,6 +58,7 @@ func (c QuasiConfig) Validate() error {
 func BuildQuasi(positions []geom.Point, c QuasiConfig, rng *xrand.RNG) *graph.Graph {
 	g := graph.New(len(positions))
 	if len(positions) == 0 {
+		g.AutoBitset()
 		return g
 	}
 	grid := geom.NewGrid(positions, c.Field, c.RMax)
@@ -81,9 +82,7 @@ func BuildQuasi(positions []geom.Point, c QuasiConfig, rng *xrand.RNG) *graph.Gr
 			}
 		}
 	}
-	if len(positions) <= bitsetNodeLimit {
-		g.EnableBitset()
-	}
+	g.AutoBitset()
 	return g
 }
 

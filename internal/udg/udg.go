@@ -55,21 +55,15 @@ func RandomPositions(c Config, rng *xrand.RNG) []geom.Point {
 	return pts
 }
 
-// bitsetNodeLimit bounds the instance sizes for which Build enables the
-// graph's dense bitset adjacency view. The view costs Θ(N²/64) memory
-// (2 MiB at the limit) and makes the Wu-Li subset kernels word-parallel;
-// above the limit graphs stay on the allocation-free merge scans.
-const bitsetNodeLimit = 4096
-
 // Build constructs the unit-disk graph over the given positions with the
 // given radius, using a uniform-grid index (O(N·k) for k average neighbors).
 // Distance comparison is inclusive: d(u,v) <= radius links u and v.
-// For instances up to bitsetNodeLimit nodes the graph's bitset adjacency
-// view is enabled, so the marking/pruning kernels downstream run
-// word-parallel.
+// The graph gets the bitset adjacency view under graph.AutoBitset's
+// policy, so the marking/pruning kernels downstream run word-parallel.
 func Build(positions []geom.Point, field geom.Rect, radius float64) *graph.Graph {
 	g := graph.New(len(positions))
 	if len(positions) == 0 {
+		g.AutoBitset()
 		return g
 	}
 	grid := geom.NewGrid(positions, field, radius)
@@ -82,17 +76,15 @@ func Build(positions []geom.Point, field geom.Rect, radius float64) *graph.Graph
 			}
 		}
 	}
-	if len(positions) <= bitsetNodeLimit {
-		g.EnableBitset()
-	}
+	g.AutoBitset()
 	return g
 }
 
 // BuildBrute is the O(N^2) reference construction, used to validate Build
-// and BuildParallel. It applies the same bitset policy as Build (dense
-// view for instances up to bitsetNodeLimit nodes) so differential tests
-// compare identically-configured graphs and downstream kernels take the
-// same dispatch path regardless of which constructor produced the graph.
+// and BuildParallel. It applies the same bitset policy as Build
+// (graph.AutoBitset) so differential tests compare identically-configured
+// graphs and downstream kernels take the same dispatch path regardless of
+// which constructor produced the graph.
 func BuildBrute(positions []geom.Point, radius float64) *graph.Graph {
 	g := graph.New(len(positions))
 	r2 := radius * radius
@@ -103,9 +95,7 @@ func BuildBrute(positions []geom.Point, radius float64) *graph.Graph {
 			}
 		}
 	}
-	if len(positions) <= bitsetNodeLimit {
-		g.EnableBitset()
-	}
+	g.AutoBitset()
 	return g
 }
 

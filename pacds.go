@@ -358,15 +358,6 @@ func ApplyRulesFixpoint(g *Graph, p Policy, marked []bool, energy []float64) ([]
 	return cds.ApplyRulesFixpoint(g, p, marked, energy)
 }
 
-// ReapplyRulesDirty re-examines the given dirty nodes against the current
-// gateway set and cascades removals through a dirty-queue drain over their
-// 1-hop fringes — the incremental re-pruning primitive for callers whose
-// topology or energy inputs changed locally. gw is modified in place; it
-// remains a valid CDS whatever dirty set is passed.
-func ReapplyRulesDirty(g *Graph, p Policy, gw []bool, energy []float64, dirty []NodeID) (int, error) {
-	return cds.ReapplyRulesDirty(g, p, gw, energy, dirty)
-}
-
 // ExtendedSimMetrics reports a lifetime run continued past the first
 // death (death timeline, half-death interval).
 type ExtendedSimMetrics = sim.ExtendedMetrics
