@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race verify cover perfbench-check bench bench-quick bench-sessions bench-check bench-server bench-server-check bench-compute bench-compute-check trace-demo profile profile-compute fuzz load chaos clean
+.PHONY: all build fmt-check test vet race verify cover perfbench-check bench bench-quick bench-sessions bench-check bench-server bench-server-check bench-compute bench-compute-check trace-demo profile profile-compute fuzz load chaos clean
 
 all: verify
 
@@ -12,6 +12,10 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Every .go file in the tree is gofmt-clean; gofmt -l lists any that is not.
+fmt-check:
+	@test -z "$$(gofmt -l .)" || { echo "gofmt needed:"; gofmt -l .; exit 1; }
 
 test:
 	$(GO) test ./...
@@ -60,7 +64,7 @@ cover:
 perfbench-check:
 	cd perfbench && $(GO) vet . && $(GO) test -short .
 
-verify: build vet test race cover perfbench-check
+verify: build fmt-check vet test race cover perfbench-check
 
 # Perf-focused benchmarks behind the numbers in README.md's Performance
 # section. Writes the raw `go test -bench` stream to bench.out and a JSON
@@ -75,13 +79,15 @@ bench:
 bench-quick:
 	$(GO) test -bench . -benchtime 1x ./...
 
-# Short fuzz pass over the edge-list parser, the encoder round-trip, and
-# the cdsd compute endpoint (hostile JSON must never 5xx).
+# Short fuzz pass over the edge-list parser, the encoder round-trip, the
+# cdsd compute endpoint (hostile JSON must never 5xx), and the request
+# decoder's fast path against its encoding/json reference.
 fuzz:
 	$(GO) test -fuzz FuzzRead$$ -fuzztime 30s ./internal/graph/
 	$(GO) test -fuzz FuzzReadWrite -fuzztime 30s ./internal/graph/
 	$(GO) test -fuzz FuzzComputeRequest -fuzztime 30s ./internal/server/
 	$(GO) test -fuzz FuzzSessionChanges -fuzztime 30s ./internal/server/
+	$(GO) test -fuzz FuzzFastDecode -fuzztime 30s ./internal/server/
 	$(GO) test -fuzz FuzzParseText -fuzztime 30s ./internal/metrics/
 
 # Seeded load/conformance baselines against a self-booted cdsd. The

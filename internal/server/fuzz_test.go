@@ -10,6 +10,38 @@ import (
 	"pacds/internal/cds"
 )
 
+// computeRequestSeeds seed FuzzComputeRequest and FuzzFastDecode.
+var computeRequestSeeds = []string{
+	// Well-formed request.
+	`{"graph":{"nodes":4,"edges":[[0,1],[1,2],[2,3]]},"policy":"ND"}`,
+	// Energy-aware policy with levels.
+	`{"graph":{"nodes":3,"edges":[[0,1],[1,2]]},"policy":"EL1","energy":[10,20,30]}`,
+	// NaN/Inf energies are not valid JSON; both spellings must 400.
+	`{"graph":{"nodes":2,"edges":[[0,1]]},"policy":"EL1","energy":[NaN,1]}`,
+	`{"graph":{"nodes":2,"edges":[[0,1]]},"policy":"EL1","energy":[1e999,1]}`,
+	// Negative and oversized node counts.
+	`{"graph":{"nodes":-5,"edges":[]},"policy":"ID"}`,
+	`{"graph":{"nodes":999999999,"edges":[]},"policy":"ID"}`,
+	// Self loops, out-of-range endpoints, wrong arity.
+	`{"graph":{"nodes":3,"edges":[[1,1]]},"policy":"ID"}`,
+	`{"graph":{"nodes":3,"edges":[[0,7]]},"policy":"ID"}`,
+	`{"graph":{"nodes":3,"edges":[[0,1,2]]},"policy":"ID"}`,
+	// Truncated body, wrong types, unknown fields, empty body.
+	`{"graph":{"nodes":4,"edges":[[0,1`,
+	`{"graph":"not a graph","policy":"ND"}`,
+	`{"graph":{"nodes":2,"edges":[]},"policy":"ND","bogus":1}`,
+	``,
+	// Missing energy for an energy-aware policy.
+	`{"graph":{"nodes":3,"edges":[[0,1],[1,2]]},"policy":"EL2"}`,
+	// Fault scenarios: invalid drop rate, out-of-range crash node.
+	`{"graph":{"nodes":3,"edges":[[0,1],[1,2]]},"policy":"ID","faults":{"drop":2.5,"seed":1}}`,
+	`{"graph":{"nodes":3,"edges":[[0,1],[1,2]]},"policy":"ID","faults":{"drop":0.1,"seed":1,"crashes":[{"node":99,"at_round":1}]}}`,
+	// A large-ish edge list (the fuzzer will grow it further).
+	`{"graph":{"nodes":40,"edges":[[0,1],[1,2],[2,3],[3,4],[4,5],[5,6],[6,7],[7,8],[8,9],[9,10],[0,39]]},"policy":"ND"}`,
+	// Trailing bytes after the request object.
+	`{"graph":{"nodes":3,"edges":[[0,1],[1,2]]},"policy":"ID"}x`,
+}
+
 // FuzzComputeRequest feeds arbitrary (and deliberately hostile) bodies
 // into the /v1/compute decoder and pipeline. The invariant: the endpoint
 // answers every byte sequence with 2xx or 4xx — malformed, truncated, or
@@ -17,35 +49,7 @@ import (
 // 5xx. When the request is well-formed enough to succeed, the returned
 // gateway set must be a valid CDS of the requested topology.
 func FuzzComputeRequest(f *testing.F) {
-	seeds := []string{
-		// Well-formed request.
-		`{"graph":{"nodes":4,"edges":[[0,1],[1,2],[2,3]]},"policy":"ND"}`,
-		// Energy-aware policy with levels.
-		`{"graph":{"nodes":3,"edges":[[0,1],[1,2]]},"policy":"EL1","energy":[10,20,30]}`,
-		// NaN/Inf energies are not valid JSON; both spellings must 400.
-		`{"graph":{"nodes":2,"edges":[[0,1]]},"policy":"EL1","energy":[NaN,1]}`,
-		`{"graph":{"nodes":2,"edges":[[0,1]]},"policy":"EL1","energy":[1e999,1]}`,
-		// Negative and oversized node counts.
-		`{"graph":{"nodes":-5,"edges":[]},"policy":"ID"}`,
-		`{"graph":{"nodes":999999999,"edges":[]},"policy":"ID"}`,
-		// Self loops, out-of-range endpoints, wrong arity.
-		`{"graph":{"nodes":3,"edges":[[1,1]]},"policy":"ID"}`,
-		`{"graph":{"nodes":3,"edges":[[0,7]]},"policy":"ID"}`,
-		`{"graph":{"nodes":3,"edges":[[0,1,2]]},"policy":"ID"}`,
-		// Truncated body, wrong types, unknown fields, empty body.
-		`{"graph":{"nodes":4,"edges":[[0,1`,
-		`{"graph":"not a graph","policy":"ND"}`,
-		`{"graph":{"nodes":2,"edges":[]},"policy":"ND","bogus":1}`,
-		``,
-		// Missing energy for an energy-aware policy.
-		`{"graph":{"nodes":3,"edges":[[0,1],[1,2]]},"policy":"EL2"}`,
-		// Fault scenarios: invalid drop rate, out-of-range crash node.
-		`{"graph":{"nodes":3,"edges":[[0,1],[1,2]]},"policy":"ID","faults":{"drop":2.5,"seed":1}}`,
-		`{"graph":{"nodes":3,"edges":[[0,1],[1,2]]},"policy":"ID","faults":{"drop":0.1,"seed":1,"crashes":[{"node":99,"at_round":1}]}}`,
-		// A large-ish edge list (the fuzzer will grow it further).
-		`{"graph":{"nodes":40,"edges":[[0,1],[1,2],[2,3],[3,4],[4,5],[5,6],[6,7],[7,8],[8,9],[9,10],[0,39]]},"policy":"ND"}`,
-	}
-	for _, s := range seeds {
+	for _, s := range computeRequestSeeds {
 		f.Add([]byte(s))
 	}
 

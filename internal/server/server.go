@@ -517,20 +517,11 @@ func (s *Server) writeJSONCtx(ctx context.Context, w http.ResponseWriter, status
 	sp.End()
 }
 
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("bad request body: %w", err)
-	}
-	return nil
-}
-
 // --- Handlers ---
 
 func (s *Server) handleCompute(ctx context.Context, w http.ResponseWriter, r *http.Request) (int, error) {
 	var req ComputeRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeFast(r, &req, scanCompute); err != nil {
 		return http.StatusBadRequest, err
 	}
 	policy, err := cds.ByName(req.Policy)
@@ -658,7 +649,7 @@ func (s *Server) trimMarked(resp *ComputeResponse, include bool) *ComputeRespons
 
 func (s *Server) handleVerify(ctx context.Context, w http.ResponseWriter, r *http.Request) (int, error) {
 	var req VerifyRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeFast(r, &req, scanVerify); err != nil {
 		return http.StatusBadRequest, err
 	}
 	g, err := req.Graph.build(s.cfg.MaxNodes)

@@ -146,7 +146,7 @@ func sessionStatus(err error) int {
 // pool with the same shedding/deadline discipline as /v1/compute.
 func (s *Server) handleSessionCreate(ctx context.Context, w http.ResponseWriter, r *http.Request) (int, error) {
 	var req SessionCreateRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeFast(r, &req, scanSessionCreate); err != nil {
 		return http.StatusBadRequest, err
 	}
 	policy, err := cds.ByName(req.Policy)

@@ -107,8 +107,8 @@ func TestSessionValidation(t *testing.T) {
 		{Graph: chain(4), Policy: "bogus"},
 		{Graph: GraphSpec{Nodes: -1}, Policy: "ID"},
 		{Graph: chain(65), Policy: "ID"},
-		{Graph: chain(4), Policy: "EL1"},                              // missing energy
-		{Graph: chain(4), Policy: "ID", Energy: []float64{1}},         // wrong length
+		{Graph: chain(4), Policy: "EL1"},                                    // missing energy
+		{Graph: chain(4), Policy: "ID", Energy: []float64{1}},               // wrong length
 		{Graph: GraphSpec{Nodes: 3, Edges: [][2]int{{0, 5}}}, Policy: "ID"}, // bad edge
 	}
 	for i, req := range badCreates {

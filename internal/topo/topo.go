@@ -605,11 +605,11 @@ func (m *Manager) reaper() {
 // write).
 func (e *entry) snapshotLocked() *Snapshot {
 	s := &Snapshot{
-		ID:          e.id,
-		Epoch:       e.sess.Epoch(),
-		Nodes:       e.sess.NumNodes(),
-		Policy:      e.policy,
-		NumGateways: e.sess.NumGateways(),
+		ID:           e.id,
+		Epoch:        e.sess.Epoch(),
+		Nodes:        e.sess.NumNodes(),
+		Policy:       e.policy,
+		NumGateways:  e.sess.NumGateways(),
 		Batches:      e.batches,
 		Changes:      e.changes,
 		FrontierSize: e.sess.LastFrontier(),
