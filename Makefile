@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check test vet race verify cover perfbench-check bench bench-quick bench-sessions bench-check bench-server bench-server-check bench-compute bench-compute-check trace-demo profile profile-compute fuzz load chaos clean
+.PHONY: all build fmt-check test vet race verify cover perfbench-check examples bench bench-quick bench-sessions bench-check bench-server bench-server-check bench-compute bench-compute-check trace-demo profile profile-compute fuzz load chaos clean
 
 all: verify
 
@@ -26,9 +26,9 @@ test:
 # (whose workers share collectors and histograms), the resilience/chaos
 # layers (breakers, token buckets, fault transports), the tracing ring
 # (concurrent span commits racing /debug/traces readers), and the
-# parallel compute pipeline (par worker primitive, speculative cds
-# kernels, parallel udg builder — whose determinism property tests
-# assert byte-identical output at every worker count under the racer).
+# parallel compute pipeline (par worker primitive, parallel cds marking,
+# parallel udg builder — whose determinism property tests assert
+# byte-identical output at every worker count under the racer).
 race:
 	$(GO) test -race ./internal/distributed/ ./internal/sim/ ./internal/server/ ./internal/topo/ ./internal/experiments/ ./internal/load/ ./internal/resilience/ ./internal/chaos/ ./internal/obs/ ./internal/par/ ./internal/cds/ ./internal/udg/
 
@@ -64,7 +64,15 @@ cover:
 perfbench-check:
 	cd perfbench && $(GO) vet . && $(GO) test -short .
 
-verify: build fmt-check vet test race cover perfbench-check
+# Run every examples/* program and fail on any nonzero exit, so a facade
+# change that breaks an example fails here and not only at `go build`.
+examples:
+	@for d in examples/*/; do \
+		echo "go run ./$$d"; \
+		$(GO) run ./$$d >/dev/null || { echo "FAIL: $$d"; exit 1; }; \
+	done
+
+verify: build fmt-check vet test race cover perfbench-check examples
 
 # Perf-focused benchmarks behind the numbers in README.md's Performance
 # section. Writes the raw `go test -bench` stream to bench.out and a JSON

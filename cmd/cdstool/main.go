@@ -47,7 +47,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	allPolicies := fs.Bool("all", false, "compute all five policies")
 	randomN := fs.Int("random", 0, "generate a random connected unit-disk network with this many hosts instead of reading a graph")
 	seed := fs.Uint64("seed", 1, "seed for -random")
-	workers := fs.Int("workers", 1, "compute-pipeline fan-out: goroutines for graph build, marking, and pruning (0 = GOMAXPROCS; output is identical at every setting)")
+	workers := fs.Int("workers", 1, "compute-pipeline fan-out: goroutines for graph build and marking (0 = GOMAXPROCS; output is identical at every setting)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

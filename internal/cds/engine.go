@@ -24,9 +24,6 @@ import (
 //     theorem (fixpoint.go) makes admissions no-ops there, so none are
 //     made and no worklist is allocated;
 //   - a caller's permutation, in place: ApplyRulesOrdered;
-//   - the parallel path's speculative candidates against the pre-pass
-//     snapshot (parallel.go), where a verdict stands unless a lower
-//     neighbor has flipped since;
 //   - an epoch-stamped Worklist whose flips admit the slots they can
 //     change: a flip at v admits v's higher-ID neighbors into the same
 //     sweep, and a Rule-1 flip also admits all of v's neighbors to the
@@ -100,9 +97,6 @@ type slots struct {
 	wl *Worklist
 	// feed also receives every neighbor of a flipped slot.
 	feed *Worklist
-	// speculated marks order as slots whose rule already fired against
-	// before.
-	speculated bool
 }
 
 // at returns the i-th slot to visit, or false past the end.
@@ -133,16 +127,7 @@ func (r *Rules) sweep(rule slotRule, before, after []bool, s slots) {
 		if !ok {
 			return
 		}
-		now := false
-		switch {
-		case !before[v]:
-		case s.speculated && !lowerFlipped(r.g, before, after, v):
-			// The rule fired against before, and no neighbor below v
-			// has flipped since, so the verdict stands: unmarking only
-			// removes coverers, and every other premise is unchanged.
-		default:
-			now = !r.fires(rule, before, after, v)
-		}
+		now := before[v] && !r.fires(rule, before, after, v)
 		if now == after[v] {
 			continue
 		}
@@ -159,21 +144,6 @@ func (r *Rules) sweep(rule slotRule, before, after []bool, s slots) {
 			}
 		}
 	}
-}
-
-// lowerFlipped reports whether any neighbor of v below v has flipped in
-// the current sweep (a gateway in before, no longer one in after).
-// Neighbors are sorted ascending, so the scan stops at the first id >= v.
-func lowerFlipped(g *graph.Graph, before, after []bool, v graph.NodeID) bool {
-	for _, u := range g.Neighbors(v) {
-		if u >= v {
-			return false
-		}
-		if before[u] && !after[u] {
-			return true
-		}
-	}
-	return false
 }
 
 // apply runs the whole-graph pass in place from a fresh marking: Rule 1

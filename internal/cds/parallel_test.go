@@ -16,7 +16,7 @@ import (
 // GatewayIDs order, same Result fields — for every policy, at every
 // worker count, on every topology family. These tests run in the tier-1
 // -race gate (the Makefile race target includes ./internal/cds/), so the
-// speculate/commit schedule is exercised under the race detector too.
+// parallel marking pass is exercised under the race detector too.
 
 // workerCounts spans the sequential short-circuit (1), an uneven split
 // (3), and the benchmark fan-out (8). 0 exercises the GOMAXPROCS default.
@@ -62,8 +62,8 @@ func testInstances(t *testing.T, seed uint64) map[string]*graph.Graph {
 	if inst, err := udg.RandomConnected(udg.PaperConfig(100), xrand.New(rng.Uint64()), 2000); err == nil {
 		out["udg"] = inst.Graph
 	}
-	// Large enough to cross the par.Block threshold so the
-	// speculate/commit path actually runs.
+	// Large enough to cross the par.Block threshold so the parallel
+	// marking pass actually fans out.
 	if inst, err := udg.Random(udg.Config{N: 700, Field: geom.Square(300), Radius: 30}, xrand.New(rng.Uint64())); err == nil {
 		out["udg-sparse-large"] = inst.Graph
 	}
@@ -160,7 +160,7 @@ func TestComputeParallelProperty(t *testing.T) {
 }
 
 // TestApplyRulesParallelMatchesApplyRules pins the rule phase alone:
-// identical gateway sets from the speculate/commit schedule and the
+// identical gateway sets from the parallel entry points and the
 // sequential sweep, including via the Into variants over dirty reused
 // destination buffers (the pooled-handler pattern).
 func TestApplyRulesParallelMatchesApplyRules(t *testing.T) {

@@ -10,10 +10,10 @@ import "pacds/internal/graph"
 // in-place array, that state is implicit: entries below the cursor already
 // hold their post-sweep value, entries at or above it still hold their
 // pre-sweep value. A sweep that re-runs only a subset of slots (the
-// session's frontier, the parallel commit) keeps the two halves of that
-// view in separate arrays — `after` for decided slots (u < v) and `before`
-// for undecided ones (u >= v). The predicates below read the view through
-// statusAt; whole-graph sweeps pass the same array twice.
+// session's frontier) keeps the two halves of that view in separate
+// arrays — `after` for decided slots (u < v) and `before` for undecided
+// ones (u >= v). The predicates below read the view through statusAt;
+// whole-graph sweeps pass the same array twice.
 
 // statusAt reads node u's gateway status as seen from node v's slot.
 func statusAt(before, after []bool, v, u graph.NodeID) bool {

@@ -1,6 +1,6 @@
 package graph
 
-import "sort"
+import "slices"
 
 // Bulk constructors. AddEdge keeps the sorted-adjacency invariant one
 // insertion at a time, which costs O(deg) per edge and one append-growth
@@ -76,7 +76,7 @@ func FromEdgeFunc(n int, visit func(emit func(u, v NodeID))) *Graph {
 	arcs := 0
 	for v := 0; v < n; v++ {
 		row := flat[off[v]:off[v+1]]
-		sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
+		slices.Sort(row)
 		// Compact duplicate arcs (the same edge emitted twice).
 		k := 0
 		for i, u := range row {

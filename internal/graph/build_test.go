@@ -104,3 +104,26 @@ func TestFromSortedAdjacency(t *testing.T) {
 	mustPanic("out of range", [][]NodeID{{5}})
 	mustPanic("odd arc count", [][]NodeID{{1}, {}})
 }
+
+// TestFromEdgeFuncAllocations pins FromEdgeFunc's allocation count, which
+// every cdsd compute, verify and session create pays: a fixed handful per
+// graph whatever its size, never a per-host cost from sorting the rows.
+func TestFromEdgeFuncAllocations(t *testing.T) {
+	for _, n := range []int{50, 150, 400} {
+		rng := xrand.New(uint64(n))
+		edges := make([][2]NodeID, 0, 10*n)
+		for len(edges) < cap(edges) {
+			if u, v := NodeID(rng.Intn(n)), NodeID(rng.Intn(n)); u != v {
+				edges = append(edges, [2]NodeID{u, v})
+			}
+		}
+		visit := func(emit func(u, v NodeID)) {
+			for _, e := range edges {
+				emit(e[0], e[1])
+			}
+		}
+		if got := testing.AllocsPerRun(20, func() { FromEdgeFunc(n, visit) }); got > 7 {
+			t.Errorf("N=%d: FromEdgeFunc allocates %v per call, want <= 7", n, got)
+		}
+	}
+}

@@ -1,7 +1,7 @@
 // Package par provides the deterministic worker-pool building block shared
 // by the parallel scratch-compute kernels (cds.MarkParallel,
-// cds.ApplyRulesParallel, udg.BuildParallel): a block-scheduled parallel
-// for-loop over a dense index range.
+// udg.BuildParallel): a block-scheduled parallel for-loop over a dense
+// index range.
 //
 // Workers claim fixed-size blocks off an atomic cursor, so an expensive
 // block (a dense neighborhood, a crowded grid cell) never stalls the rest

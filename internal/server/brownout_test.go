@@ -11,20 +11,40 @@ import (
 	"pacds/internal/graph"
 )
 
-// saturate occupies the 1-worker/1-slot server with slow requests on
-// distinct graphs, returning once both the worker and the queue slot are
-// taken, plus a wait func for the background requests.
-func saturate(t *testing.T, s *Server, c *Client) func() {
+// saturate occupies the 1-worker/1-slot server until the test ends: one
+// job holds the worker and a second holds the queue slot. Holding on a
+// channel rather than a timed delay keeps the server saturated however
+// slowly the test's own request arrives.
+func saturate(t *testing.T, s *Server) {
 	t.Helper()
+	hold := make(chan struct{})
+	running := make(chan struct{})
 	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
+	// Registered after newTestServer's cleanup, so it runs first and the
+	// server closes with its worker free.
+	t.Cleanup(func() {
+		close(hold)
+		wg.Wait()
+	})
+	occupy := func(fn func() (any, error)) {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			spec := specFor(graph.Path(20 + i))
-			c.Compute(context.Background(), ComputeRequest{Graph: spec, Policy: "ID"})
-		}(i)
+			if _, err := s.submit(context.Background(), "", fn); err != nil {
+				t.Errorf("saturating job: %v", err)
+			}
+		}()
 	}
+	occupy(func() (any, error) {
+		close(running)
+		<-hold
+		return nil, nil
+	})
+	<-running // the worker holds the first job
+	occupy(func() (any, error) {
+		<-hold
+		return nil, nil
+	})
 	deadline := time.Now().Add(5 * time.Second)
 	for len(s.jobs) < cap(s.jobs) {
 		if time.Now().After(deadline) {
@@ -32,12 +52,11 @@ func saturate(t *testing.T, s *Server, c *Client) func() {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	return wg.Wait
 }
 
 func TestBrownoutServesStaleUnderOverload(t *testing.T) {
 	s, c := newTestServer(t, Config{
-		Workers: 1, QueueDepth: 1, TestDelay: 300 * time.Millisecond,
+		Workers: 1, QueueDepth: 1,
 		BrownoutEndpoints: []string{"compute"},
 		CacheTTL:          time.Second,
 	})
@@ -51,7 +70,7 @@ func TestBrownoutServesStaleUnderOverload(t *testing.T) {
 	}
 	s.cache.now = func() time.Time { return time.Now().Add(2 * time.Hour) }
 
-	wait := saturate(t, s, c)
+	saturate(t, s)
 	// Overloaded + stale cache entry: brownout serves it degraded
 	// instead of shedding.
 	resp, err := c.Compute(context.Background(), req)
@@ -64,7 +83,6 @@ func TestBrownoutServesStaleUnderOverload(t *testing.T) {
 	if resp.NumGateways != warm.NumGateways {
 		t.Fatalf("degraded answer diverged: %d vs %d gateways", resp.NumGateways, warm.NumGateways)
 	}
-	wait()
 
 	text, err := c.MetricsText(context.Background())
 	if err != nil {
@@ -76,7 +94,7 @@ func TestBrownoutServesStaleUnderOverload(t *testing.T) {
 }
 
 func TestBrownoutDisabledStillSheds(t *testing.T) {
-	s, c := newTestServer(t, Config{Workers: 1, QueueDepth: 1, TestDelay: 300 * time.Millisecond})
+	s, c := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
 	spec := specFor(graph.Path(6))
 	req := ComputeRequest{Graph: spec, Policy: "ID"}
 	if _, err := c.Compute(context.Background(), req); err != nil {
@@ -85,14 +103,13 @@ func TestBrownoutDisabledStillSheds(t *testing.T) {
 	// Expire the fresh hit by disabling TTL? TTL is zero (never stale),
 	// so a cached key would still serve fresh; use a different graph to
 	// force submission.
-	wait := saturate(t, s, c)
+	saturate(t, s)
 	other := ComputeRequest{Graph: specFor(graph.Path(7)), Policy: "ID"}
 	_, err := c.Compute(context.Background(), other)
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusServiceUnavailable {
 		t.Fatalf("err = %v, want 503 shed without brownout", err)
 	}
-	wait()
 }
 
 func TestHealthzSplit(t *testing.T) {

@@ -51,7 +51,7 @@ type Config struct {
 	Workers int
 	// ComputeWorkers bounds intra-request parallelism: the number of
 	// goroutines one compute/verify request may fan out across the
-	// marking + pruning pipeline (cds.MarkParallel / ApplyRulesParallel).
+	// marking pass (cds.MarkParallel); pruning is one sequential sweep.
 	// Default 1 — the worker pool already runs requests in parallel, so
 	// per-request fan-out is opt-in for deployments serving few, large
 	// topologies rather than many small ones. Output is byte-identical at

@@ -1,7 +1,7 @@
 package udg
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"pacds/internal/geom"
@@ -76,7 +76,7 @@ func BuildParallel(positions []geom.Point, field geom.Rect, radius float64, work
 			for i, u := range buf {
 				row[i] = graph.NodeID(u)
 			}
-			sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
+			slices.Sort(row)
 			// Full-capacity cap is safe here: rows are never appended to
 			// by this package, and FromSortedAdjacency documents the
 			// aliasing contract.

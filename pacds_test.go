@@ -6,10 +6,23 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"pacds/internal/broadcast"
+	"pacds/internal/cds"
+	"pacds/internal/des"
+	"pacds/internal/energy"
+	"pacds/internal/geom"
+	"pacds/internal/graph"
+	"pacds/internal/mobility"
+	"pacds/internal/routing"
+	"pacds/internal/sim"
+	"pacds/internal/udg"
+	"pacds/internal/viz"
 )
 
-// The facade tests double as end-to-end exercises of the public API: they
-// touch only identifiers exported by this package.
+// The facade tests drive the public API end to end. A check on a
+// subsystem the facade does not export calls its internal package
+// directly, on inputs built through the facade.
 
 func TestFacadeComputeCDS(t *testing.T) {
 	g := FromEdges(5, [][2]NodeID{{0, 1}, {0, 4}, {1, 2}, {1, 4}, {2, 3}})
@@ -23,7 +36,7 @@ func TestFacadeComputeCDS(t *testing.T) {
 	if err := VerifyCDS(g, res.Gateway); err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyProperty3(g, res.Marked); err != nil {
+	if err := cds.VerifyProperty3(g, res.Marked); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -86,10 +99,10 @@ func TestFacadeDistributed(t *testing.T) {
 func TestFacadeGraphIO(t *testing.T) {
 	g := FromEdges(4, [][2]NodeID{{0, 1}, {1, 2}, {2, 3}})
 	var buf bytes.Buffer
-	if err := WriteGraph(&buf, g); err != nil {
+	if err := graph.Write(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadGraph(&buf)
+	got, err := graph.Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,13 +112,13 @@ func TestFacadeGraphIO(t *testing.T) {
 }
 
 func TestFacadeNames(t *testing.T) {
-	p, err := PolicyByName("EL2")
+	p, err := cds.ByName("EL2")
 	if err != nil || p != EL2 {
-		t.Fatalf("PolicyByName: %v %v", p, err)
+		t.Fatalf("cds.ByName: %v %v", p, err)
 	}
-	d, err := DrainByName("quadratic-pergw")
+	d, err := energy.ByName("quadratic-pergw")
 	if err != nil || d.Name() != "quadratic-pergw" {
-		t.Fatalf("DrainByName: %v %v", d, err)
+		t.Fatalf("energy.ByName: %v %v", d, err)
 	}
 }
 
@@ -132,7 +145,7 @@ func TestFacadeRuleK(t *testing.T) {
 		t.Fatal(err)
 	}
 	marked := Mark(net.Graph)
-	gw, err := ApplyRuleK(net.Graph, ND, marked, nil)
+	gw, err := cds.ApplyRuleK(net.Graph, ND, marked, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,11 +167,11 @@ func TestFacadeTraffic(t *testing.T) {
 
 func TestFacadeParallelTrials(t *testing.T) {
 	cfg := PaperSimConfig(12, ND, LinearDrain{}, 3)
-	seq, err := RunSimTrials(cfg, 4)
+	seq, err := sim.RunTrials(cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunSimTrialsParallel(cfg, 4, 2)
+	par, err := sim.RunTrialsParallel(cfg, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,16 +183,16 @@ func TestFacadeParallelTrials(t *testing.T) {
 }
 
 func TestFacadeEnergyAndMobility(t *testing.T) {
-	levels := NewEnergyLevels(5, 100)
+	levels := energy.NewLevels(5, 100)
 	if levels.N() != 5 {
 		t.Fatal("levels wrong")
 	}
-	var m MobilityModel = NewPaperMobility()
-	pts := []Point{{X: 50, Y: 50}}
-	m.Step(pts, Square(100), NewRNG(3))
-	// Static model compiles through the alias too.
-	var s MobilityModel = StaticHosts{}
-	s.Step(pts, Square(100), NewRNG(4))
+	var m mobility.Model = NewPaperMobility()
+	pts := []geom.Point{{X: 50, Y: 50}}
+	m.Step(pts, geom.Square(100), NewRNG(3))
+	// The static model satisfies the same interface.
+	var s mobility.Model = mobility.Static{}
+	s.Step(pts, geom.Square(100), NewRNG(4))
 }
 
 func TestFacadeMaintenanceSession(t *testing.T) {
@@ -206,7 +219,7 @@ func TestFacadeMaintenanceSession(t *testing.T) {
 
 func TestFacadeExtendedSim(t *testing.T) {
 	cfg := PaperSimConfig(15, ND, LinearDrain{}, 7)
-	m, err := RunSimExtended(cfg, 0.5)
+	m, err := sim.RunExtended(cfg, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,13 +229,13 @@ func TestFacadeExtendedSim(t *testing.T) {
 }
 
 func TestFacadeFixpointAndClustered(t *testing.T) {
-	net, err := RandomClusteredConnectedNetwork(PaperNetworkConfig(40),
-		ClusterConfig{Clusters: 3, Spread: 10}, NewRNG(13), 2000)
+	net, err := udg.RandomClusteredConnected(PaperNetworkConfig(40),
+		udg.ClusterConfig{Clusters: 3, Spread: 10}, NewRNG(13), 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	marked := Mark(net.Graph)
-	gw, passes, err := ApplyRulesFixpoint(net.Graph, ND, marked, nil)
+	gw, passes, err := cds.ApplyRulesFixpoint(net.Graph, ND, marked, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,8 +257,8 @@ func TestFacadeRenderSVG(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	err = RenderSVG(&buf, net.Graph, net.Positions, net.Config.Field,
-		res.Gateway, nil, RenderOptions{Title: "facade"})
+	err = viz.SVG(&buf, net.Graph, net.Positions, net.Config.Field,
+		res.Gateway, nil, viz.Options{Title: "facade"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +284,7 @@ func TestFacadeBroadcast(t *testing.T) {
 	if via.Reached != 30 || flood.Reached != 30 {
 		t.Fatalf("coverage: flood %d cds %d", flood.Reached, via.Reached)
 	}
-	if BroadcastSaving(flood, via) <= 0 {
+	if broadcast.Saving(flood, via) <= 0 {
 		t.Fatal("CDS broadcast saved nothing")
 	}
 }
@@ -293,12 +306,12 @@ func TestFacadeMaxMinRouting(t *testing.T) {
 
 func TestFacadeRemainingSurface(t *testing.T) {
 	// Exercise the remaining thin wrappers end to end.
-	g := NewGraph(4)
+	g := graph.New(4)
 	g.AddEdge(0, 1)
 	g.AddEdge(1, 2)
 	g.AddEdge(2, 3)
 	marked := Mark(g)
-	gw, err := ApplyRules(g, ND, marked, nil)
+	gw, err := cds.ApplyRules(g, ND, marked, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +319,7 @@ func TestFacadeRemainingSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	order := []NodeID{3, 2, 1, 0}
-	gwo, err := ApplyRulesOrdered(g, ND, marked, nil, order)
+	gwo, err := cds.ApplyRulesOrdered(g, ND, marked, nil, order)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,16 +327,16 @@ func TestFacadeRemainingSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	net, err := RandomNetwork(PaperNetworkConfig(20), NewRNG(23))
+	net, err := udg.Random(PaperNetworkConfig(20), NewRNG(23))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rebuilt := BuildUnitDiskGraph(net.Positions, net.Config.Field, net.Config.Radius)
+	rebuilt := udg.Build(net.Positions, net.Config.Field, net.Config.Radius)
 	if rebuilt.NumEdges() != net.Graph.NumEdges() {
 		t.Fatal("BuildUnitDiskGraph disagrees with instance graph")
 	}
 
-	cnet, err := RandomClusteredNetwork(PaperNetworkConfig(20), ClusterConfig{Clusters: 2, Spread: 8}, NewRNG(29))
+	cnet, err := udg.RandomClustered(PaperNetworkConfig(20), udg.ClusterConfig{Clusters: 2, Spread: 8}, NewRNG(29))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,15 +344,15 @@ func TestFacadeRemainingSurface(t *testing.T) {
 		t.Fatal("clustered network wrong size")
 	}
 
-	qc := PaperQuasiNetworkConfig(25)
-	qnet, err := RandomQuasiNetwork(qc, NewRNG(31))
+	qc := udg.PaperQuasiConfig(25)
+	qnet, err := udg.RandomQuasi(qc, NewRNG(31))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if qnet.Graph.NumNodes() != 25 {
 		t.Fatal("quasi network wrong size")
 	}
-	qconn, err := RandomQuasiConnectedNetwork(PaperQuasiNetworkConfig(40), NewRNG(37), 2000)
+	qconn, err := udg.RandomQuasiConnected(udg.PaperQuasiConfig(40), NewRNG(37), 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +360,7 @@ func TestFacadeRemainingSurface(t *testing.T) {
 		t.Fatal("quasi connected sampler returned disconnected graph")
 	}
 
-	r, err := RunAsync(qconn.Graph, DefaultAsyncConfig(ID, 41), nil)
+	r, err := RunAsync(qconn.Graph, des.DefaultConfig(ID, 41), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +372,7 @@ func TestFacadeRemainingSurface(t *testing.T) {
 func TestFacadeDistributedSim(t *testing.T) {
 	cfg := PaperSimConfig(15, ND, ConstantPerGWDrain{}, 7)
 	cfg.Verify = true
-	dm, err := RunSimDistributed(cfg)
+	dm, err := sim.RunDistributed(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +387,7 @@ func TestFacadeAnalyzeCDS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := AnalyzeCDS(g, res.Gateway)
+	report, err := cds.Analyze(g, res.Gateway)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,12 +397,12 @@ func TestFacadeAnalyzeCDS(t *testing.T) {
 }
 
 func TestFacadeChurn(t *testing.T) {
-	cfg := ChurnSimConfig{
+	cfg := sim.ChurnConfig{
 		Config:  PaperSimConfig(15, ND, ConstantPerGWDrain{}, 3),
 		OffProb: 0.2,
 		OnProb:  0.5,
 	}
-	m, err := RunSimChurn(cfg)
+	m, err := sim.RunChurn(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +414,7 @@ func TestFacadeChurn(t *testing.T) {
 func TestFacadeDistanceVector(t *testing.T) {
 	g := FromEdges(7, [][2]NodeID{{0, 2}, {1, 2}, {2, 5}, {3, 5}, {4, 5}, {6, 5}})
 	gw := []bool{false, false, true, false, false, true, false}
-	dv, stats, err := BuildTablesDistanceVector(g, gw)
+	dv, stats, err := routing.BuildTablesDistanceVector(g, gw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,16 +432,16 @@ func TestFacadeErrorPaths(t *testing.T) {
 		do      func() error
 		wantSub string
 	}{
-		{"PolicyByName unknown", func() error {
-			_, err := PolicyByName("EL3")
+		{"cds.ByName unknown", func() error {
+			_, err := cds.ByName("EL3")
 			return err
 		}, "unknown policy"},
-		{"PolicyByName wrong case", func() error {
-			_, err := PolicyByName("el1")
+		{"cds.ByName wrong case", func() error {
+			_, err := cds.ByName("el1")
 			return err
 		}, "unknown policy"},
-		{"PolicyByName empty", func() error {
-			_, err := PolicyByName("")
+		{"cds.ByName empty", func() error {
+			_, err := cds.ByName("")
 			return err
 		}, "unknown policy"},
 		{"Compute EL1 nil energy", func() error {
@@ -460,8 +473,8 @@ func TestFacadeErrorPaths(t *testing.T) {
 			// 0 and 3 dominate everything but are not adjacent.
 			return VerifyCDS(g, []bool{true, false, false, true})
 		}, "disconnected"},
-		{"DrainByName unknown", func() error {
-			_, err := DrainByName("cubic")
+		{"energy.ByName unknown", func() error {
+			_, err := energy.ByName("cubic")
 			return err
 		}, "unknown"},
 	}
@@ -511,10 +524,10 @@ func TestFacadeServing(t *testing.T) {
 	if !again.Cached {
 		t.Fatal("repeated request not cached")
 	}
-	if GraphDigest(g) != GraphDigest(g.Clone()) {
+	if graph.Digest(g) != graph.Digest(g.Clone()) {
 		t.Fatal("digest unstable across clone")
 	}
-	if len(CanonicalGraph(g)) == 0 {
+	if len(graph.Canonical(g)) == 0 {
 		t.Fatal("empty canonical encoding")
 	}
 }
@@ -528,31 +541,4 @@ func MustComputeGateways(t *testing.T, g *Graph) int {
 		t.Fatal(err)
 	}
 	return res.NumGateways()
-}
-
-func TestFacadeHardened(t *testing.T) {
-	net, err := RandomConnectedNetwork(PaperNetworkConfig(20), NewRNG(3), 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := NewFaultPlan(FaultConfig{
-		Seed: 5, Drop: 0.1,
-		Crashes: []Crash{{Node: 2, AtRound: 10}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunDistributedHardened(net.Graph, ND, nil, HardenedConfig{Faults: plan})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Alive[2] {
-		t.Fatal("crashed host alive")
-	}
-	if err := VerifySurvivorCDS(net.Graph, res.Alive, res.Gateway); err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Retransmissions == 0 {
-		t.Fatal("no retransmissions at drop=0.1")
-	}
 }
