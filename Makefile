@@ -33,22 +33,27 @@ race:
 	$(GO) test -race ./internal/distributed/ ./internal/sim/ ./internal/server/ ./internal/topo/ ./internal/experiments/ ./internal/load/ ./internal/resilience/ ./internal/chaos/ ./internal/obs/ ./internal/par/ ./internal/cds/ ./internal/udg/
 
 # Statement-coverage floors for the core pruning library, the serving
-# subsystem, the load harness, and the resilience primitives. The floors
-# sit ~5 points below current measurements (92.9 / 85.9 / 82.5 / 98.3);
-# raise them as coverage grows, never lower them to admit a regression.
+# subsystem, the load harness, the resilience primitives, the session
+# manager, the tracing layer and the message-passing protocol. Each floor
+# was set about 5 points below its package's measurement at the time;
+# the latest measurements, in the order below, are 94.9 / 90.2 / 85.5 /
+# 98.3 / 90.6 / 98.9 / 94.6. Raise the floors as coverage grows, never
+# lower them to admit a regression.
 COVER_FLOOR_CDS        ?= 88
 COVER_FLOOR_SERVER     ?= 80
 COVER_FLOOR_LOAD       ?= 75
 COVER_FLOOR_RESILIENCE ?= 85
 COVER_FLOOR_TOPO       ?= 80
 COVER_FLOOR_OBS        ?= 80
+COVER_FLOOR_DISTRIBUTED ?= 89
 cover:
 	@for spec in "./internal/cds/:$(COVER_FLOOR_CDS)" \
 	             "./internal/server/:$(COVER_FLOOR_SERVER)" \
 	             "./internal/load/:$(COVER_FLOOR_LOAD)" \
 	             "./internal/resilience/:$(COVER_FLOOR_RESILIENCE)" \
 	             "./internal/topo/:$(COVER_FLOOR_TOPO)" \
-	             "./internal/obs/:$(COVER_FLOOR_OBS)"; do \
+	             "./internal/obs/:$(COVER_FLOOR_OBS)" \
+	             "./internal/distributed/:$(COVER_FLOOR_DISTRIBUTED)"; do \
 		pkg=$${spec%:*}; floor=$${spec#*:}; \
 		$(GO) test -coverprofile=cover.out $$pkg >/dev/null || exit 1; \
 		pct=$$($(GO) tool cover -func=cover.out | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
@@ -141,12 +146,17 @@ bench-server:
 # traced variant postdates the baseline and reports as new. A second
 # diff gates allocs/op against BENCH_PR10.json, which locked in the
 # pooled-scratch allocation win — the warm path must never creep back
-# toward the pre-pooling ~598 allocs/op.
+# toward the pre-pooling ~598 allocs/op. Both diffs always run and print
+# their verdicts, so a failing ns/op gate cannot hide the allocs/op gate;
+# the target fails if the benchmark run or either diff fails.
 bench-server-check:
-	$(GO) test -run '^$$' -bench 'ServerCompute/(cold|warm)' -benchmem -count 3 . | tee bench-server-check.out | \
-		$(GO) run ./cmd/benchjson -baseline BENCH_PR8.json -threshold 0.02
-	$(GO) run ./cmd/benchjson -baseline BENCH_PR10.json -threshold 10 -alloc-threshold 0.10 bench-server-check.out
-	@rm -f bench-server-check.out
+	@$(GO) test -run '^$$' -bench 'ServerCompute/(cold|warm)' -benchmem -count 3 . > bench-server-check.out; \
+	bench=$$?; cat bench-server-check.out; \
+	ns=pass; $(GO) run ./cmd/benchjson -baseline BENCH_PR8.json -threshold 0.02 bench-server-check.out || ns=FAIL; \
+	allocs=pass; $(GO) run ./cmd/benchjson -baseline BENCH_PR10.json -threshold 10 -alloc-threshold 0.10 bench-server-check.out || allocs=FAIL; \
+	rm -f bench-server-check.out; \
+	echo "bench-server-check: ns/op within 2% of BENCH_PR8.json: $$ns; allocs/op within 10% of BENCH_PR10.json: $$allocs"; \
+	test $$bench = 0 && test $$ns = pass && test $$allocs = pass
 
 # Large-N parallel-compute benchmarks: the compute stage
 # (ComputeParallel) and the end-to-end scratch pipeline (ComputePipeline,

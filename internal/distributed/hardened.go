@@ -184,26 +184,24 @@ func (h *hnode) reset() {
 	h.epochUnmarked, h.unmarkPending = false, false
 }
 
-// noteHeard registers a frame from u at round r; a previously unknown
-// sender becomes a neighbor and triggers a state exchange toward it.
-func (h *hnode) noteHeard(u graph.NodeID, r int) {
+// noteHeard registers a frame from u at round r and returns u's position
+// in nbrs; a previously unknown sender becomes a neighbor and triggers a
+// state exchange toward it.
+func (h *hnode) noteHeard(u graph.NodeID, r int) int {
 	h.lastHeard[u] = r
-	if !contains(h.nbrs, u) {
-		h.nbrs = insertSorted(h.nbrs, u)
+	i, added := h.addNeighbor(u)
+	if added {
 		if _, ok := h.recvSeq[u]; !ok {
 			h.recvSeq[u] = &[numKinds]int{}
 		}
 		h.dirtyNL, h.dirtySt, h.dirty2Hop = true, true, true
 	}
+	return i
 }
 
 // evict drops u from every local view after it missed too many beacons.
 func (h *hnode) evict(u graph.NodeID, rt *hruntime) {
-	h.nbrs = removeSorted(h.nbrs, u)
-	delete(h.nbrSets, u)
-	delete(h.nbrEnergy, u)
-	delete(h.nbrMarker, u)
-	delete(h.nbrGateway, u)
+	h.removeNeighbor(u)
 	delete(h.lastHeard, u)
 	delete(h.recvSeq, u)
 	h.dirtyNL, h.dirtySt, h.dirty2Hop = true, true, true
@@ -254,7 +252,7 @@ func (h *hnode) sendStatus(r int, rt *hruntime) {
 
 // receiveHardened handles one delivered frame at round r.
 func (h *hnode) receiveHardened(m Message, r int, nw *lossyNetwork) {
-	h.noteHeard(m.From, r)
+	k := &h.know[h.noteHeard(m.From, r)]
 	switch m.Kind {
 	case Hello:
 		// The beacon itself carries no payload; noteHeard did the work.
@@ -269,21 +267,20 @@ func (h *hnode) receiveHardened(m Message, r int, nw *lossyNetwork) {
 	case NeighborList:
 		if s := h.seqState(m.From); m.Seq > s[NeighborList] {
 			s[NeighborList] = m.Seq
-			h.nbrSets[m.From] = m.Neighbors
-			h.nbrEnergy[m.From] = m.Energy
+			k.set, k.energy = m.Neighbors, m.Energy
 			h.dirty2Hop = true
 		}
 		h.sendAck(m, r, nw)
 	case Status:
 		if s := h.seqState(m.From); m.Seq > s[Status] {
 			s[Status] = m.Seq
-			h.nbrMarker[m.From] = m.Marked
+			k.markerHeard, k.marker = true, m.Marked
 		}
 		h.sendAck(m, r, nw)
 	case StatusUpdate:
 		if s := h.seqState(m.From); m.Seq > s[StatusUpdate] {
 			s[StatusUpdate] = m.Seq
-			h.nbrGateway[m.From] = m.Marked
+			k.gateway = m.Marked
 		}
 		h.sendAck(m, r, nw)
 	}
@@ -313,8 +310,9 @@ func (h *hnode) resolvePending(k Kind, r int, nw *lossyNetwork) {
 	}
 }
 
-// epochReset restarts the rule phase from the current markers, exactly
-// like runRulePhase's beginRulePhase but on the hardened state.
+// epochReset restarts the rule phase from the current markers, like
+// runRulePhase's beginRulePhase but on the hardened state: a neighbour
+// whose marker was not heard is no longer counted as a gateway.
 func (h *hnode) epochReset(r int, rt *hruntime) {
 	if h.unmarkPending {
 		h.unmarkPending = false
@@ -323,11 +321,10 @@ func (h *hnode) epochReset(r int, rt *hruntime) {
 	old := h.gateway
 	h.gateway = h.marker
 	h.epochUnmarked = false
-	gw := make(map[graph.NodeID]bool, len(h.nbrMarker))
-	for u, m := range h.nbrMarker {
-		gw[u] = m
+	for i := range h.know {
+		k := &h.know[i]
+		k.gateway = k.markerHeard && k.marker
 	}
-	h.nbrGateway = gw
 	if h.gateway != old {
 		rt.converged(r)
 	}
@@ -483,8 +480,8 @@ func (h *hnode) finalize(rt *hruntime) {
 	}
 	if h.marker && !h.gateway {
 		covered := false
-		for _, u := range h.nbrs {
-			if h.nbrGateway[u] {
+		for i := range h.know {
+			if h.know[i].gateway {
 				covered = true
 				break
 			}

@@ -1,7 +1,8 @@
 package distributed
 
 import (
-	"sort"
+	"fmt"
+	"slices"
 
 	"pacds/internal/cds"
 	"pacds/internal/graph"
@@ -14,72 +15,85 @@ type node struct {
 	id     graph.NodeID
 	energy float64
 
-	nbrs      []graph.NodeID                  // from Hello, sorted
-	nbrSets   map[graph.NodeID][]graph.NodeID // from NeighborList, each sorted
-	nbrEnergy map[graph.NodeID]float64        // from NeighborList
+	// nbrs is N(v), learned from Hello (or the link layer), sorted. know[i]
+	// is what the host has learned about nbrs[i]; every edit to nbrs makes
+	// the same edit to know, so the rule loops read a neighbour's record by
+	// position and a delivery finds its sender by binary search.
+	nbrs []graph.NodeID
+	know []nbrKnow
 
 	// marker is the marking-process result m(v); it persists across
 	// maintenance intervals. gateway is the post-rule status, reset to
 	// marker at the start of each rule phase.
 	marker  bool
 	gateway bool
-	// nbrMarker tracks neighbors' markers (from Status broadcasts);
-	// nbrGateway tracks their current gateway status during a rule phase
-	// (reset from nbrMarker, then updated by StatusUpdate broadcasts).
-	nbrMarker  map[graph.NodeID]bool
-	nbrGateway map[graph.NodeID]bool
+}
+
+// nbrKnow is one host's knowledge of a neighbour u. A neighbour the host
+// has not heard from yet has the zero record: no set, energy 0, no marker
+// and not a gateway.
+type nbrKnow struct {
+	set    []graph.NodeID // N(u) from NeighborList, sorted; aliases the sender's list
+	energy float64        // el(u) from NeighborList
+	// markerHeard records that a Status from u arrived since u became a
+	// neighbour; only then does marker hold m(u). gateway is u's working
+	// status in the rule phase: reset from marker, then updated by
+	// StatusUpdate broadcasts.
+	markerHeard bool
+	marker      bool
+	gateway     bool
 }
 
 func newNode(id graph.NodeID, energy float64) *node {
-	return &node{
-		id:         id,
-		energy:     energy,
-		nbrSets:    make(map[graph.NodeID][]graph.NodeID),
-		nbrEnergy:  make(map[graph.NodeID]float64),
-		nbrMarker:  make(map[graph.NodeID]bool),
-		nbrGateway: make(map[graph.NodeID]bool),
+	return &node{id: id, energy: energy}
+}
+
+// addNeighbor makes u a neighbour with an empty record unless it already
+// is one, and returns u's position in nbrs and whether it was added.
+func (n *node) addNeighbor(u graph.NodeID) (int, bool) {
+	i, found := slices.BinarySearch(n.nbrs, u)
+	if !found {
+		n.nbrs = slices.Insert(n.nbrs, i, u)
+		n.know = slices.Insert(n.know, i, nbrKnow{})
+	}
+	return i, !found
+}
+
+// removeNeighbor drops u and its record, if u is a neighbour.
+func (n *node) removeNeighbor(u graph.NodeID) {
+	if i, found := slices.BinarySearch(n.nbrs, u); found {
+		n.nbrs = slices.Delete(n.nbrs, i, i+1)
+		n.know = slices.Delete(n.know, i, i+1)
 	}
 }
 
-// receive handles one delivered message.
+// receive handles one delivered message. The radio delivers only along
+// graph edges and nbrs mirrors the graph, so every sender of a payload is
+// already a neighbour; a sender outside nbrs can only be a bug, and
+// receive panics rather than invent a record for it.
 func (n *node) receive(m Message) {
+	if m.Kind == Hello {
+		n.addNeighbor(m.From)
+		return
+	}
+	i, found := slices.BinarySearch(n.nbrs, m.From)
+	if !found {
+		panic(fmt.Sprintf("distributed: host %d received %v from non-neighbour %d", n.id, m.Kind, m.From))
+	}
+	k := &n.know[i]
 	switch m.Kind {
-	case Hello:
-		n.nbrs = insertSorted(n.nbrs, m.From)
 	case NeighborList:
-		n.nbrSets[m.From] = m.Neighbors
-		n.nbrEnergy[m.From] = m.Energy
+		k.set, k.energy = m.Neighbors, m.Energy
 	case Status:
-		n.nbrMarker[m.From] = m.Marked
+		k.markerHeard, k.marker = true, m.Marked
 	case StatusUpdate:
-		n.nbrGateway[m.From] = m.Marked
+		k.gateway = m.Marked
 	}
-}
-
-func insertSorted(list []graph.NodeID, v graph.NodeID) []graph.NodeID {
-	i := sort.Search(len(list), func(i int) bool { return list[i] >= v })
-	if i < len(list) && list[i] == v {
-		return list
-	}
-	list = append(list, 0)
-	copy(list[i+1:], list[i:])
-	list[i] = v
-	return list
 }
 
 func contains(sorted []graph.NodeID, v graph.NodeID) bool {
-	i := sort.Search(len(sorted), func(i int) bool { return sorted[i] >= v })
-	return i < len(sorted) && sorted[i] == v
-}
-
-// adjacent reports whether u and w are adjacent, judged from n's local
-// knowledge (u must be one of n's neighbors so its set is known).
-func (n *node) adjacent(u, w graph.NodeID) bool {
-	set, ok := n.nbrSets[u]
-	if !ok {
-		return false
-	}
-	return contains(set, w)
+	_, found := slices.BinarySearch(sorted, v)
+	return found
 }
 
 // computeMarker runs marking step 3 locally: marked iff two neighbors are
@@ -88,7 +102,7 @@ func (n *node) computeMarker() {
 	n.marker = false
 	for i := 0; i < len(n.nbrs); i++ {
 		for j := i + 1; j < len(n.nbrs); j++ {
-			if !n.adjacent(n.nbrs[i], n.nbrs[j]) {
+			if !contains(n.know[i].set, n.nbrs[j]) {
 				n.marker = true
 				return
 			}
@@ -97,53 +111,40 @@ func (n *node) computeMarker() {
 }
 
 // beginRulePhase resets the working gateway state from the markers, for
-// both self and the tracked neighbors.
+// self and for every neighbour whose marker was heard; a neighbour whose
+// marker was not heard keeps its gateway status.
 func (n *node) beginRulePhase() {
 	n.gateway = n.marker
-	for u, m := range n.nbrMarker {
-		n.nbrGateway[u] = m
+	for i := range n.know {
+		if k := &n.know[i]; k.markerHeard {
+			k.gateway = k.marker
+		}
 	}
 }
 
-// degreeOf returns nd(u) for a neighbor u (or for n itself).
-func (n *node) degreeOf(u graph.NodeID) int {
-	if u == n.id {
-		return len(n.nbrs)
-	}
-	return len(n.nbrSets[u])
-}
-
-// energyOf returns el(u) for a neighbor u (or for n itself).
-func (n *node) energyOf(u graph.NodeID) float64 {
-	if u == n.id {
-		return n.energy
-	}
-	return n.nbrEnergy[u]
-}
-
-// less is the policy priority order evaluated from local knowledge.
-func (n *node) less(p cds.Policy, v, u graph.NodeID) bool {
+// below reports whether the host ranks below its neighbour nbrs[i] in the
+// policy's priority order, evaluated from local knowledge.
+func (n *node) below(p cds.Policy, i int) bool {
+	v, u, k := n.id, n.nbrs[i], &n.know[i]
 	switch p {
 	case cds.ID:
 		return v < u
 	case cds.ND:
-		dv, du := n.degreeOf(v), n.degreeOf(u)
+		dv, du := len(n.nbrs), len(k.set)
 		if dv != du {
 			return dv < du
 		}
 		return v < u
 	case cds.EL1:
-		ev, eu := n.energyOf(v), n.energyOf(u)
-		if ev != eu {
-			return ev < eu
+		if n.energy != k.energy {
+			return n.energy < k.energy
 		}
 		return v < u
 	case cds.EL2:
-		ev, eu := n.energyOf(v), n.energyOf(u)
-		if ev != eu {
-			return ev < eu
+		if n.energy != k.energy {
+			return n.energy < k.energy
 		}
-		dv, du := n.degreeOf(v), n.degreeOf(u)
+		dv, du := len(n.nbrs), len(k.set)
 		if dv != du {
 			return dv < du
 		}
@@ -153,43 +154,23 @@ func (n *node) less(p cds.Policy, v, u graph.NodeID) bool {
 	}
 }
 
-// closedSubsetSelf reports whether N[self] ⊆ N[u], judged locally: u must
-// be a neighbor (so self ∈ N[u]) and every neighbor of self other than u
-// must be in N(u).
-func (n *node) closedSubsetSelf(u graph.NodeID) bool {
-	if !contains(n.nbrs, u) {
-		return false
-	}
-	nu := n.nbrSets[u]
-	for _, x := range n.nbrs {
-		if x == u {
-			continue
-		}
-		if !contains(nu, x) {
+// closedSubsetSelf reports whether N[self] ⊆ N[u] for the neighbour
+// u = nbrs[i], judged locally: self ∈ N[u] because u is a neighbour, so
+// every other neighbour of self must be in N(u).
+func (n *node) closedSubsetSelf(i int) bool {
+	nu := n.know[i].set
+	for j, x := range n.nbrs {
+		if j != i && !contains(nu, x) {
 			return false
 		}
 	}
 	return true
 }
 
-// openSubsetUnion reports whether N(a) ⊆ N(u) ∪ N(w) judged locally. N(a)
-// must be known: a is self or a neighbor.
-func (n *node) openSubsetUnion(a, u, w graph.NodeID) bool {
-	var na []graph.NodeID
-	if a == n.id {
-		na = n.nbrs
-	} else {
-		na = n.nbrSets[a]
-	}
-	nu, nw := n.nbrSets[u], n.nbrSets[w]
-	if u == n.id {
-		nu = n.nbrs
-	}
-	if w == n.id {
-		nw = n.nbrs
-	}
-	for _, x := range na {
-		if !contains(nu, x) && !contains(nw, x) {
+// subsetUnion reports whether a ⊆ b ∪ c for sorted neighbour sets.
+func subsetUnion(a, b, c []graph.NodeID) bool {
+	for _, x := range a {
+		if !contains(b, x) && !contains(c, x) {
 			return false
 		}
 	}
@@ -204,11 +185,11 @@ func (n *node) rule1Applies(p cds.Policy) bool {
 	if !n.gateway {
 		return false
 	}
-	for _, u := range n.nbrs {
-		if !n.nbrGateway[u] {
+	for i := range n.nbrs {
+		if !n.know[i].gateway {
 			continue
 		}
-		if n.less(p, n.id, u) && n.closedSubsetSelf(u) {
+		if n.below(p, i) && n.closedSubsetSelf(i) {
 			return true
 		}
 	}
@@ -232,28 +213,26 @@ func (n *node) rule2Applies(p cds.Policy) bool {
 		return false
 	}
 	for i := 0; i < len(n.nbrs); i++ {
-		u := n.nbrs[i]
-		if !n.nbrGateway[u] {
+		if !n.know[i].gateway {
 			continue
 		}
-		if p == cds.ID && u < n.id {
+		if p == cds.ID && n.nbrs[i] < n.id {
 			continue
 		}
 		for j := i + 1; j < len(n.nbrs); j++ {
-			w := n.nbrs[j]
-			if !n.nbrGateway[w] {
+			if !n.know[j].gateway {
 				continue
 			}
 			if p == cds.ID {
-				if w < n.id {
+				if n.nbrs[j] < n.id {
 					continue
 				}
-				if n.openSubsetUnion(n.id, u, w) {
+				if subsetUnion(n.nbrs, n.know[i].set, n.know[j].set) {
 					return true
 				}
 				continue
 			}
-			if n.rule2Covered(p, u, w) {
+			if n.rule2Covered(p, i, j) {
 				return true
 			}
 		}
@@ -271,23 +250,24 @@ func (n *node) tryRule2(p cds.Policy) bool {
 	return true
 }
 
-// rule2Covered is the three-case analysis of Rules 2a/2b/2b', evaluated
-// from local knowledge (self's set plus both neighbors' sets).
-func (n *node) rule2Covered(p cds.Policy, u, w graph.NodeID) bool {
-	v := n.id
-	if !n.openSubsetUnion(v, u, w) {
+// rule2Covered is the three-case analysis of Rules 2a/2b/2b' for the
+// neighbours u = nbrs[i] and w = nbrs[j], evaluated from local knowledge
+// (self's set plus both neighbors' sets).
+func (n *node) rule2Covered(p cds.Policy, i, j int) bool {
+	nv, nu, nw := n.nbrs, n.know[i].set, n.know[j].set
+	if !subsetUnion(nv, nu, nw) {
 		return false
 	}
-	cu := n.openSubsetUnion(u, v, w)
-	cw := n.openSubsetUnion(w, u, v)
+	cu := subsetUnion(nu, nv, nw)
+	cw := subsetUnion(nw, nu, nv)
 	switch {
 	case !cu && !cw:
 		return true
 	case cu && !cw:
-		return n.less(p, v, u)
+		return n.below(p, i)
 	case !cu && cw:
-		return n.less(p, v, w)
+		return n.below(p, j)
 	default:
-		return n.less(p, v, u) && n.less(p, v, w)
+		return n.below(p, i) && n.below(p, j)
 	}
 }

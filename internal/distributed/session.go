@@ -3,7 +3,7 @@ package distributed
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"pacds/internal/cds"
 	"pacds/internal/graph"
@@ -52,10 +52,11 @@ type Session struct {
 	epoch uint64
 
 	// Centralized mirrors of the converged distributed state. The package's
-	// invariant tests establish that every host's local knowledge agrees
-	// with the global graph at rule-phase time, so the frontier slots can be
-	// evaluated against these mirrors with the graph's bitset kernels
-	// instead of per-host map lookups — same answers, far cheaper.
+	// invariant test (TestSessionKnowledgeMatchesGraph) establishes that
+	// every host's local knowledge agrees with the global graph at
+	// rule-phase time, so the frontier slots are evaluated against these
+	// mirrors with the graph's bitset kernels and give the answers the
+	// hosts' own rule evaluation would.
 	rules     cds.Rules // policy rules bound to g and energyArr
 	energyArr []float64 // mutated in place, never reallocated (rules' priority order closes over it)
 	markerArr []bool    // m(v) after the latest marking recomputation
@@ -138,11 +139,7 @@ func NewSession(g *graph.Graph, p cds.Policy, energy []float64) (*Session, error
 
 // Gateways returns the current gateway assignment.
 func (s *Session) Gateways() []bool {
-	out := make([]bool, len(s.nodes))
-	for v, nd := range s.nodes {
-		out[v] = nd.gateway
-	}
-	return out
+	return slices.Clone(s.gw2)
 }
 
 // Stats returns cumulative protocol costs since bootstrap.
@@ -165,8 +162,8 @@ func (s *Session) NumNodes() int { return len(s.nodes) }
 // NumGateways counts current gateways without allocating.
 func (s *Session) NumGateways() int {
 	n := 0
-	for _, nd := range s.nodes {
-		if nd.gateway {
+	for _, gw := range s.gw2 {
+		if gw {
 			n++
 		}
 	}
@@ -181,9 +178,7 @@ func (s *Session) GatewaysInto(dst []bool) []bool {
 		dst = make([]bool, len(s.nodes))
 	}
 	dst = dst[:len(s.nodes)]
-	for v, nd := range s.nodes {
-		dst[v] = nd.gateway
-	}
+	copy(dst, s.gw2)
 	return dst
 }
 
@@ -285,17 +280,11 @@ func (s *Session) ApplyChanges(changes []EdgeChange) (int, error) {
 		// directly.
 		a, b := s.nodes[ch.A], s.nodes[ch.B]
 		if ch.Up {
-			a.nbrs = insertSorted(a.nbrs, ch.B)
-			b.nbrs = insertSorted(b.nbrs, ch.A)
+			a.addNeighbor(ch.B)
+			b.addNeighbor(ch.A)
 		} else {
-			a.nbrs = removeSorted(a.nbrs, ch.B)
-			b.nbrs = removeSorted(b.nbrs, ch.A)
-			delete(a.nbrSets, ch.B)
-			delete(b.nbrSets, ch.A)
-			delete(a.nbrMarker, ch.B)
-			delete(b.nbrMarker, ch.A)
-			delete(a.nbrGateway, ch.B)
-			delete(b.nbrGateway, ch.A)
+			a.removeNeighbor(ch.B)
+			b.removeNeighbor(ch.A)
 		}
 	}
 
@@ -403,12 +392,4 @@ func (s *Session) incrementalRulePhase() {
 		s.nw.deliver(s.nodes)
 	}
 	s.lastFrontier = len(s.f2.List())
-}
-
-func removeSorted(list []graph.NodeID, v graph.NodeID) []graph.NodeID {
-	i := sort.Search(len(list), func(i int) bool { return list[i] >= v })
-	if i < len(list) && list[i] == v {
-		return append(list[:i], list[i+1:]...)
-	}
-	return list
 }

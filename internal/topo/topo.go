@@ -195,7 +195,10 @@ type entry struct {
 	history []record
 	batches uint64
 	changes uint64
-	gwBuf   []bool // scratch for before/after gateway diffs
+	// gwBefore and gwAfter are the batch's before/after gateway scratch;
+	// only applyLocked, under the write lock, touches them.
+	gwBefore []bool
+	gwAfter  []bool
 
 	created  time.Time
 	lastUsed time.Time // guarded by the shard lock, not entry.mu
@@ -414,8 +417,7 @@ func (m *Manager) applyLocked(e *entry, changes []EdgeChange, energy []float64) 
 
 	start := time.Now()
 	epochBefore := e.sess.Epoch()
-	e.gwBuf = e.sess.GatewaysInto(e.gwBuf)
-	before := append([]bool(nil), e.gwBuf...)
+	e.gwBefore = e.sess.GatewaysInto(e.gwBefore)
 
 	if energy != nil {
 		if err := e.sess.UpdateEnergy(energy); err != nil {
@@ -442,12 +444,12 @@ func (m *Manager) applyLocked(e *entry, changes []EdgeChange, energy []float64) 
 			rec.edgesDown++
 		}
 	}
-	e.gwBuf = e.sess.GatewaysInto(e.gwBuf)
-	for v := range e.gwBuf {
-		switch {
-		case e.gwBuf[v] && !before[v]:
+	e.gwAfter = e.sess.GatewaysInto(e.gwAfter)
+	for v, after := range e.gwAfter {
+		switch before := e.gwBefore[v]; {
+		case after && !before:
 			rec.added = append(rec.added, v)
-		case !e.gwBuf[v] && before[v]:
+		case !after && before:
 			rec.removed = append(rec.removed, v)
 		}
 	}
