@@ -152,6 +152,46 @@ func TestNDProducesSmallestOrEqualSets(t *testing.T) {
 	}
 }
 
+func TestUniformEnergyGatewayCounts(t *testing.T) {
+	// The paper's Figure 10 setting: ten connected paper-density instances
+	// of 30 hosts, every host at energy 100. With uniform energy EL2
+	// coincides with ND per instance: both use the same rule template and
+	// the energy tie falls through to (nd, id). EL1 does NOT coincide with
+	// ID — it shares the comparator but uses the generalized three-case
+	// Rule 2, which prunes more aggressively than the original min-ID
+	// Rule 2. And the rules shrink the marking output.
+	rng := xrand.New(77)
+	energy := make([]float64, 30)
+	for i := range energy {
+		energy[i] = 100
+	}
+	sum := map[Policy]int{}
+	for trial := 0; trial < 10; trial++ {
+		inst, err := udg.RandomConnected(udg.PaperConfig(30), rng, 5000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		count := map[Policy]int{}
+		for _, p := range Policies {
+			r, err := Compute(inst.Graph, p, energy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			count[p] = r.NumGateways()
+			sum[p] += count[p]
+		}
+		if count[EL2] != count[ND] {
+			t.Errorf("trial %d: EL2 %d != ND %d under uniform energy", trial, count[EL2], count[ND])
+		}
+	}
+	if sum[EL1] > sum[ID] {
+		t.Errorf("EL1 total %d should not exceed ID total %d (its Rule 2 is strictly more aggressive)", sum[EL1], sum[ID])
+	}
+	if sum[ID] >= sum[NR] {
+		t.Errorf("ID total %d should be below NR total %d", sum[ID], sum[NR])
+	}
+}
+
 func TestRuleAblationConsistency(t *testing.T) {
 	// Rule1-only and Rule2-only each individually preserve the CDS, and
 	// the combined application removes at least as many nodes as either

@@ -5,8 +5,8 @@ import (
 
 	"pacds/internal/cds"
 	"pacds/internal/distributed"
-	"pacds/internal/graph"
 	"pacds/internal/mobility"
+	"pacds/internal/sim"
 	"pacds/internal/stats"
 	"pacds/internal/udg"
 	"pacds/internal/xrand"
@@ -70,21 +70,11 @@ func Maintenance(opt Options) (*FigureResult, error) {
 }
 
 // topologyDiffStep advances the mobility model one interval and returns
-// the induced link events.
+// the induced link events. Rebuild hands out a fresh graph, so the old one
+// is still there to diff against.
 func topologyDiffStep(inst *udg.Instance, m mobility.Model, rng *xrand.RNG) []distributed.EdgeChange {
-	old := inst.Graph.Clone()
+	old := inst.Graph
 	m.Step(inst.Positions, inst.Config.Field, rng)
 	inst.Rebuild()
-	var changes []distributed.EdgeChange
-	old.Edges(func(u, v graph.NodeID) {
-		if !inst.Graph.HasEdge(u, v) {
-			changes = append(changes, distributed.EdgeChange{A: u, B: v, Up: false})
-		}
-	})
-	inst.Graph.Edges(func(u, v graph.NodeID) {
-		if !old.HasEdge(u, v) {
-			changes = append(changes, distributed.EdgeChange{A: u, B: v, Up: true})
-		}
-	})
-	return changes
+	return sim.LinkDiff(old, inst.Graph)
 }

@@ -5,9 +5,6 @@ import (
 
 	"pacds/internal/cds"
 	"pacds/internal/energy"
-	"pacds/internal/graph"
-	"pacds/internal/udg"
-	"pacds/internal/xrand"
 )
 
 // On/off churn — the paper's introduction singles this out: "the
@@ -55,54 +52,39 @@ func RunChurn(cfg ChurnConfig) (*ChurnMetrics, error) {
 	if cfg.OffProb < 0 || cfg.OffProb > 1 || cfg.OnProb < 0 || cfg.OnProb > 1 {
 		return nil, fmt.Errorf("sim: churn probabilities must be in [0, 1]")
 	}
-	maxIntervals := cfg.MaxIntervals
-	if maxIntervals <= 0 {
-		maxIntervals = 100000
-	}
-	rng := xrand.New(cfg.Seed)
-	placeRNG := rng.Split(1)
-	moveRNG := rng.Split(2)
-	churnRNG := rng.Split(3)
-
-	ucfg := udg.Config{N: cfg.N, Field: cfg.Field, Radius: cfg.Radius}
-	var inst *udg.Instance
-	var err error
-	if cfg.ConnectedStart {
-		inst, err = udg.RandomConnected(ucfg, placeRNG, 5000)
-	} else {
-		inst, err = udg.Random(ucfg, placeRNG)
-	}
+	s, err := NewStepper(cfg.Config)
 	if err != nil {
 		return nil, err
 	}
-
-	levels := energy.NewLevels(cfg.N, cfg.InitialEnergy)
 	on := make([]bool, cfg.N)
 	for i := range on {
 		on[i] = true
 	}
-	el := make([]float64, cfg.N)
+	isOn := func(v int) bool { return on[v] }
 	m := &ChurnMetrics{}
 	gwSum, onSum := 0, 0
-
-	for interval := 1; ; interval++ {
-		// Topology over ON hosts.
-		g := graph.New(cfg.N)
-		inst.Graph.Edges(func(u, v graph.NodeID) {
-			if on[u] && on[v] {
-				g.AddEdge(u, v)
+	m.Intervals, m.Truncated, err = s.Run(func(interval int) (bool, error) {
+		// Every interval after the first starts by switching: one draw per
+		// host decides whether it flips.
+		if interval > 1 {
+			for v := range on {
+				flip := cfg.OnProb
+				if on[v] {
+					flip = cfg.OffProb
+				}
+				if s.RNG.Float64() < flip {
+					on[v] = !on[v]
+				}
 			}
-		})
-		for v := 0; v < cfg.N; v++ {
-			el[v] = levels.Level(v)
 		}
-		res, err := cds.Compute(g, cfg.Policy, el)
+		g := s.Restricted(isOn)
+		res, err := cds.Compute(g, cfg.Policy, s.Energy)
 		if err != nil {
-			return nil, err
+			return false, err
 		}
 		if cfg.Verify {
 			if err := cds.VerifyCDS(g, res.Gateway); err != nil {
-				return nil, fmt.Errorf("sim: churn interval %d: %w", interval, err)
+				return false, fmt.Errorf("sim: churn interval %d: %w", interval, err)
 			}
 		}
 		if !g.IsConnected() {
@@ -114,49 +96,39 @@ func RunChurn(cfg ChurnConfig) (*ChurnMetrics, error) {
 				onSum++
 			}
 		}
-
-		// Drain ON hosts only.
-		cdsSize := res.NumGateways()
-		var d float64
-		if cdsSize > 0 {
-			d = cfg.Drain.GatewayDrain(cfg.N, cdsSize)
-		}
-		for v := 0; v < cfg.N; v++ {
-			if !on[v] || !levels.Alive(v) {
-				continue
-			}
-			if res.Gateway[v] {
-				levels.Drain(v, d)
-			} else {
-				levels.Drain(v, cfg.NonGatewayDrain)
-			}
-		}
-
-		m.Intervals = interval
-		if levels.AnyDead() {
-			break
-		}
-		if interval >= maxIntervals {
-			m.Truncated = true
-			break
-		}
-
-		// Switch and move.
-		for v := 0; v < cfg.N; v++ {
-			if on[v] {
-				if churnRNG.Float64() < cfg.OffProb {
-					on[v] = false
-				}
-			} else if churnRNG.Float64() < cfg.OnProb {
-				on[v] = true
-			}
-		}
-		if cfg.Mobility != nil {
-			cfg.Mobility.Step(inst.Positions, cfg.Field, moveRNG)
-			inst.Rebuild()
-		}
+		drainActive(s.Levels, res.Gateway, cfg.Config, isOn)
+		return s.Levels.AnyDead(), nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	m.MeanGateways = float64(gwSum) / float64(m.Intervals)
 	m.MeanOn = float64(onSum) / float64(m.Intervals)
 	return m, nil
+}
+
+// drainActive applies one interval's drain as energy.ApplyInterval does,
+// but only to the hosts active accepts: the others keep their level. The
+// gateway drain d still follows the size of the whole gateway set.
+func drainActive(levels *energy.Levels, gateway []bool, cfg Config, active func(v int) bool) {
+	cdsSize := 0
+	for _, gw := range gateway {
+		if gw {
+			cdsSize++
+		}
+	}
+	var d float64
+	if cdsSize > 0 {
+		d = cfg.Drain.GatewayDrain(cfg.N, cdsSize)
+	}
+	for v, gw := range gateway {
+		if !active(v) || !levels.Alive(v) {
+			continue
+		}
+		if gw {
+			levels.Drain(v, d)
+		} else {
+			levels.Drain(v, cfg.NonGatewayDrain)
+		}
+	}
 }

@@ -17,21 +17,31 @@ func churnCfg(n int, p cds.Policy, off, onP float64, seed uint64) ChurnConfig {
 
 func TestChurnZeroMatchesPlainRun(t *testing.T) {
 	// OffProb = 0: nobody ever switches off, so the dynamics equal the
-	// plain lifetime run with the same seed schedule.
-	cfg := churnCfg(20, cds.ND, 0, 1, 42)
-	cm, err := RunChurn(cfg)
-	if err != nil {
-		t.Fatal(err)
+	// plain lifetime run with the same seed schedule, per-host initial
+	// levels included: host 3 starting at 5 dies first in both.
+	uneven := churnCfg(30, cds.EL1, 0, 1, 7)
+	uneven.Drain = energy.Linear{}
+	uneven.InitialLevels = make([]float64, 30)
+	for v := range uneven.InitialLevels {
+		uneven.InitialLevels[v] = 100
 	}
-	pm, err := Run(cfg.Config)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cm.Intervals != pm.Intervals {
-		t.Fatalf("zero-churn lifetime %d != plain %d", cm.Intervals, pm.Intervals)
-	}
-	if cm.MeanOn != 20 {
-		t.Fatalf("MeanOn = %v, want 20", cm.MeanOn)
+	uneven.InitialLevels[3] = 5
+	for _, cfg := range []ChurnConfig{churnCfg(20, cds.ND, 0, 1, 42), uneven} {
+		cm, err := RunChurn(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pm, err := Run(cfg.Config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cm.Intervals != pm.Intervals || cm.MeanGateways != pm.MeanGateways {
+			t.Fatalf("N=%d: zero-churn lifetime %d (mean gateways %v) != plain %d (%v)",
+				cfg.N, cm.Intervals, cm.MeanGateways, pm.Intervals, pm.MeanGateways)
+		}
+		if cm.MeanOn != float64(cfg.N) {
+			t.Fatalf("N=%d: MeanOn = %v, want %d", cfg.N, cm.MeanOn, cfg.N)
+		}
 	}
 }
 

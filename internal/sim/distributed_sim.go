@@ -7,8 +7,6 @@ import (
 	"pacds/internal/distributed"
 	"pacds/internal/energy"
 	"pacds/internal/faults"
-	"pacds/internal/graph"
-	"pacds/internal/udg"
 	"pacds/internal/xrand"
 )
 
@@ -65,57 +63,41 @@ func RunDistributed(cfg Config) (*DistributedMetrics, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Drop > 0 || cfg.Crashes > 0 {
-		return runDistributedFaulty(cfg)
-	}
-	maxIntervals := cfg.MaxIntervals
-	if maxIntervals <= 0 {
-		maxIntervals = 100000
-	}
-	rng := xrand.New(cfg.Seed)
-	placeRNG := rng.Split(1)
-	moveRNG := rng.Split(2)
-
-	ucfg := udg.Config{N: cfg.N, Field: cfg.Field, Radius: cfg.Radius}
-	var inst *udg.Instance
-	var err error
-	if cfg.ConnectedStart {
-		inst, err = udg.RandomConnected(ucfg, placeRNG, 5000)
-	} else {
-		inst, err = udg.Random(ucfg, placeRNG)
-	}
+	s, err := NewStepper(cfg)
 	if err != nil {
 		return nil, err
 	}
-
-	levels := energy.NewLevels(cfg.N, cfg.InitialEnergy)
-	if cfg.InitialLevels != nil {
-		for v, e := range cfg.InitialLevels {
-			levels.SetLevel(v, e)
-		}
+	if cfg.Drop > 0 || cfg.Crashes > 0 {
+		return runDistributedFaulty(cfg, s)
 	}
-	el := make([]float64, cfg.N)
-	snapshotLevels := func() []float64 {
-		for v := 0; v < cfg.N; v++ {
-			el[v] = levels.Level(v)
-		}
-		return el
-	}
-
-	session, err := distributed.NewSession(inst.Graph, cfg.Policy, snapshotLevels())
+	session, err := distributed.NewSession(s.Inst.Graph, cfg.Policy, s.Energy)
 	if err != nil {
 		return nil, err
 	}
 
 	m := &DistributedMetrics{}
 	gwSum := 0
-	for interval := 1; ; interval++ {
+	m.Intervals, m.Truncated, err = s.Run(func(interval int) (bool, error) {
+		if interval > 1 {
+			// Feed the session the last move's link changes, after fresh
+			// levels for the energy-aware policies.
+			changes := s.LinkChanges()
+			m.LinkEvents += len(changes)
+			if cfg.Policy.NeedsEnergy() {
+				if err := session.UpdateEnergy(s.Energy); err != nil {
+					return false, err
+				}
+			}
+			if _, err := session.ApplyChanges(changes); err != nil {
+				return false, err
+			}
+		}
 		gateway := session.Gateways()
 		// Whole-system check: the maintained set equals the centralized
 		// computation on the current topology and energies.
-		want, err := cds.Compute(inst.Graph, cfg.Policy, el)
+		want, err := cds.Compute(s.Inst.Graph, cfg.Policy, s.Energy)
 		if err != nil {
-			return nil, err
+			return false, err
 		}
 		match := true
 		count := 0
@@ -130,50 +112,16 @@ func RunDistributed(cfg Config) (*DistributedMetrics, error) {
 		if !match {
 			m.Mismatches++
 			if cfg.Verify {
-				return nil, fmt.Errorf("sim: interval %d: session diverged from centralized CDS", interval)
+				return false, fmt.Errorf("sim: interval %d: session diverged from centralized CDS", interval)
 			}
 		}
 		gwSum += count
 
-		energy.ApplyInterval(levels, gateway, cfg.Drain, cfg.NonGatewayDrain)
-		if levels.AnyDead() {
-			m.Intervals = interval
-			break
-		}
-		if interval >= maxIntervals {
-			m.Intervals = interval
-			m.Truncated = true
-			break
-		}
-
-		// Move, diff topology, feed the session.
-		var changes []distributed.EdgeChange
-		if cfg.Mobility != nil {
-			old := inst.Graph.Clone()
-			cfg.Mobility.Step(inst.Positions, cfg.Field, moveRNG)
-			inst.Rebuild()
-			old.Edges(func(u, v graph.NodeID) {
-				if !inst.Graph.HasEdge(u, v) {
-					changes = append(changes, distributed.EdgeChange{A: u, B: v, Up: false})
-				}
-			})
-			inst.Graph.Edges(func(u, v graph.NodeID) {
-				if !old.HasEdge(u, v) {
-					changes = append(changes, distributed.EdgeChange{A: u, B: v, Up: true})
-				}
-			})
-		}
-		m.LinkEvents += len(changes)
-		if cfg.Policy.NeedsEnergy() {
-			if err := session.UpdateEnergy(snapshotLevels()); err != nil {
-				return nil, err
-			}
-		} else {
-			snapshotLevels()
-		}
-		if _, err := session.ApplyChanges(changes); err != nil {
-			return nil, err
-		}
+		energy.ApplyInterval(s.Levels, gateway, cfg.Drain, cfg.NonGatewayDrain)
+		return s.Levels.AnyDead(), nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	stats := session.Stats()
 	m.Messages = stats.Messages
@@ -191,52 +139,20 @@ func RunDistributed(cfg Config) (*DistributedMetrics, error) {
 // after the fault quiesces, so the graceful-degradation guarantee applies.
 // LinkEvents stays zero on this path: there is no incremental session to
 // feed link diffs to.
-func runDistributedFaulty(cfg Config) (*DistributedMetrics, error) {
-	maxIntervals := cfg.MaxIntervals
-	if maxIntervals <= 0 {
-		maxIntervals = 100000
-	}
-	rng := xrand.New(cfg.Seed)
-	placeRNG := rng.Split(1)
-	moveRNG := rng.Split(2)
+func runDistributedFaulty(cfg Config, s *Stepper) (*DistributedMetrics, error) {
 	faultSeed := cfg.FaultSeed
 	if faultSeed == 0 {
 		faultSeed = cfg.Seed ^ 0x9e3779b97f4a7c15
 	}
 	faultRNG := xrand.New(faultSeed)
 
-	ucfg := udg.Config{N: cfg.N, Field: cfg.Field, Radius: cfg.Radius}
-	var inst *udg.Instance
-	var err error
-	if cfg.ConnectedStart {
-		inst, err = udg.RandomConnected(ucfg, placeRNG, 5000)
-	} else {
-		inst, err = udg.Random(ucfg, placeRNG)
-	}
-	if err != nil {
-		return nil, err
-	}
-
-	levels := energy.NewLevels(cfg.N, cfg.InitialEnergy)
-	if cfg.InitialLevels != nil {
-		for v, e := range cfg.InitialLevels {
-			levels.SetLevel(v, e)
-		}
-	}
-	el := make([]float64, cfg.N)
-	snapshotLevels := func() []float64 {
-		for v := 0; v < cfg.N; v++ {
-			el[v] = levels.Level(v)
-		}
-		return el
-	}
-
 	crashed := make([]bool, cfg.N)
+	survives := func(v int) bool { return !crashed[v] }
 	crashesLeft := cfg.Crashes
-	saved := make([]float64, cfg.N)
 	m := &DistributedMetrics{}
 	gwSum := 0
-	for interval := 1; ; interval++ {
+	var err error
+	m.Intervals, m.Truncated, err = s.Run(func(interval int) (bool, error) {
 		// Assemble this interval's fault plan: hosts already down carry
 		// over as round-1 crashes; every third interval a fresh victim
 		// fails mid-protocol (early enough to quiesce before the healing
@@ -257,13 +173,13 @@ func runDistributedFaulty(cfg Config) (*DistributedMetrics, error) {
 		}
 		plan, err := faults.NewPlan(fcfg)
 		if err != nil {
-			return nil, err
+			return false, err
 		}
 
-		res, err := distributed.RunHardened(inst.Graph, cfg.Policy, snapshotLevels(),
+		res, err := distributed.RunHardened(s.Inst.Graph, cfg.Policy, s.Energy,
 			distributed.HardenedConfig{Faults: plan})
 		if err != nil {
-			return nil, err
+			return false, err
 		}
 		stats := res.Stats
 		m.Messages += stats.Messages
@@ -276,54 +192,31 @@ func runDistributedFaulty(cfg Config) (*DistributedMetrics, error) {
 			m.DegradedIntervals++
 		}
 		if cfg.Verify {
-			if err := cds.VerifySurvivorCDS(inst.Graph, res.Alive, res.Gateway); err != nil {
-				return nil, fmt.Errorf("sim: interval %d: %w", interval, err)
+			if err := cds.VerifySurvivorCDS(s.Inst.Graph, res.Alive, res.Gateway); err != nil {
+				return false, fmt.Errorf("sim: interval %d: %w", interval, err)
 			}
 		}
 		if cfg.FaultObserver != nil {
 			cfg.FaultObserver(interval, stats)
 		}
-		count := 0
 		for _, gw := range res.Gateway {
 			if gw {
-				count++
+				gwSum++
 			}
 		}
-		gwSum += count
 
 		// Drain the survivors only: a crashed host is powered off, so its
 		// residual energy is frozen (and its death never ends the run).
-		for v, down := range crashed {
-			if down {
-				saved[v] = levels.Level(v)
-			}
-		}
-		energy.ApplyInterval(levels, res.Gateway, cfg.Drain, cfg.NonGatewayDrain)
-		for v, down := range crashed {
-			if down {
-				levels.SetLevel(v, saved[v])
-			}
-		}
-		dead := false
+		drainActive(s.Levels, res.Gateway, cfg, survives)
 		for v := 0; v < cfg.N; v++ {
-			if !crashed[v] && !levels.Alive(v) {
-				dead = true
-				break
+			if survives(v) && !s.Levels.Alive(v) {
+				return true, nil
 			}
 		}
-		if dead {
-			m.Intervals = interval
-			break
-		}
-		if interval >= maxIntervals {
-			m.Intervals = interval
-			m.Truncated = true
-			break
-		}
-		if cfg.Mobility != nil {
-			cfg.Mobility.Step(inst.Positions, cfg.Field, moveRNG)
-			inst.Rebuild()
-		}
+		return false, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	m.MeanGateways = float64(gwSum) / float64(m.Intervals)
 	return m, nil

@@ -5,9 +5,6 @@ import (
 
 	"pacds/internal/cds"
 	"pacds/internal/energy"
-	"pacds/internal/graph"
-	"pacds/internal/udg"
-	"pacds/internal/xrand"
 )
 
 // ExtendedMetrics reports a run that continues past the first death — the
@@ -39,70 +36,33 @@ func RunExtended(cfg Config, stopAliveFrac float64) (*ExtendedMetrics, error) {
 	if stopAliveFrac <= 0 || stopAliveFrac >= 1 {
 		stopAliveFrac = 0.5
 	}
-	maxIntervals := cfg.MaxIntervals
-	if maxIntervals <= 0 {
-		maxIntervals = 100000
-	}
-	rng := xrand.New(cfg.Seed)
-	placeRNG := rng.Split(1)
-	moveRNG := rng.Split(2)
-
-	ucfg := udg.Config{N: cfg.N, Field: cfg.Field, Radius: cfg.Radius}
-	var inst *udg.Instance
-	var err error
-	if cfg.ConnectedStart {
-		inst, err = udg.RandomConnected(ucfg, placeRNG, 5000)
-	} else {
-		inst, err = udg.Random(ucfg, placeRNG)
-	}
+	s, err := NewStepper(cfg)
 	if err != nil {
 		return nil, err
 	}
-
-	levels := energy.NewLevels(cfg.N, cfg.InitialEnergy)
-	if cfg.InitialLevels != nil {
-		for v, e := range cfg.InitialLevels {
-			levels.SetLevel(v, e)
-		}
-	}
-	el := make([]float64, cfg.N)
 	m := &ExtendedMetrics{}
-	deadCount := 0
 	gwSum := 0
-
-	for interval := 1; ; interval++ {
-		g := aliveSubgraph(inst, levels)
-		for v := 0; v < cfg.N; v++ {
-			el[v] = levels.Level(v)
-		}
-		res, err := cds.Compute(g, cfg.Policy, el)
+	m.Intervals, m.Truncated, err = s.Run(func(interval int) (bool, error) {
+		g := s.Restricted(s.Levels.Alive)
+		res, err := cds.Compute(g, cfg.Policy, s.Energy)
 		if err != nil {
-			return nil, err
+			return false, err
 		}
 		if cfg.Verify {
 			if err := cds.VerifyCDS(g, res.Gateway); err != nil {
-				return nil, fmt.Errorf("sim: extended interval %d: %w", interval, err)
+				return false, fmt.Errorf("sim: extended interval %d: %w", interval, err)
 			}
 		}
 		gwSum += res.NumGateways()
-		energy.ApplyInterval(levels, res.Gateway, cfg.Drain, cfg.NonGatewayDrain)
+		energy.ApplyInterval(s.Levels, res.Gateway, cfg.Drain, cfg.NonGatewayDrain)
 
-		m.Intervals = interval
-		for cfg.N-levels.NumAlive() > deadCount {
-			deadCount++
+		for cfg.N-s.Levels.NumAlive() > len(m.DeathIntervals) {
 			m.DeathIntervals = append(m.DeathIntervals, interval)
 		}
-		if float64(levels.NumAlive()) < stopAliveFrac*float64(cfg.N) {
-			break
-		}
-		if interval >= maxIntervals {
-			m.Truncated = true
-			break
-		}
-		if cfg.Mobility != nil {
-			cfg.Mobility.Step(inst.Positions, cfg.Field, moveRNG)
-			inst.Rebuild()
-		}
+		return float64(s.Levels.NumAlive()) < stopAliveFrac*float64(cfg.N), nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	if len(m.DeathIntervals) > 0 {
@@ -113,20 +73,4 @@ func RunExtended(cfg Config, stopAliveFrac float64) (*ExtendedMetrics, error) {
 	}
 	m.MeanGateways = float64(gwSum) / float64(m.Intervals)
 	return m, nil
-}
-
-// aliveSubgraph builds the unit-disk graph over the currently alive
-// hosts; dead hosts keep their positions but carry no links.
-func aliveSubgraph(inst *udg.Instance, levels *energy.Levels) *graph.Graph {
-	full := udg.Build(inst.Positions, inst.Config.Field, inst.Config.Radius)
-	if levels.NumAlive() == levels.N() {
-		return full
-	}
-	g := graph.New(full.NumNodes())
-	full.Edges(func(u, v graph.NodeID) {
-		if levels.Alive(int(u)) && levels.Alive(int(v)) {
-			g.AddEdge(u, v)
-		}
-	})
-	return g
 }

@@ -4,15 +4,16 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"pacds/internal/xrand"
 )
 
 // RunTrialsParallel executes trials independent runs of cfg across a
-// worker pool and aggregates them. Results are identical to RunTrials for
-// the same cfg and trial count — each trial's seed is a pure function of
-// its index, so scheduling order cannot change any outcome — but wall
-// clock scales with available cores.
+// worker pool and aggregates them. Results are identical at every worker
+// count — each trial's seed is a pure function of its index, so
+// scheduling order cannot change any outcome — but wall clock scales with
+// available cores.
 //
 // workers <= 0 selects GOMAXPROCS.
 func RunTrialsParallel(cfg Config, trials, workers int) (*TrialStats, error) {
@@ -26,8 +27,7 @@ func RunTrialsParallel(cfg Config, trials, workers int) (*TrialStats, error) {
 		workers = trials
 	}
 
-	// Derive per-trial seeds identically to RunTrials: a single seed
-	// stream read in order.
+	// Per-trial seeds: a single seed stream read in order.
 	seedRNG := xrand.New(cfg.Seed)
 	seeds := make([]uint64, trials)
 	for i := range seeds {
@@ -42,14 +42,23 @@ func RunTrialsParallel(cfg Config, trials, workers int) (*TrialStats, error) {
 	work := make(chan int)
 	results := make(chan result)
 	var wg sync.WaitGroup
+	// Once a trial fails the call returns an error, so later trials are
+	// skipped; with one worker that stops at the first failure.
+	var failed atomic.Bool
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range work {
+				if failed.Load() {
+					continue
+				}
 				c := cfg
 				c.Seed = seeds[i]
 				m, err := Run(c)
+				if err != nil {
+					failed.Store(true)
+				}
 				results <- result{idx: i, m: m, err: err}
 			}
 		}()

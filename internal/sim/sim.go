@@ -9,9 +9,13 @@
 //     host roams per the mobility model, the topology is rebuilt, and the
 //     next interval begins.
 //
-// The two experiments of the paper are built on this engine: average
-// gateway count (Figure 10) and average lifetime under the three drain
-// models (Figures 11-13).
+// Every lifetime loop — Run, RunExtended, RunChurn, RunDistributed, and
+// traffic.Run outside this package — is a per-interval body over one
+// Stepper, which owns placement, energy, the random streams, the interval
+// cap, and the move and rebuild between intervals. The paper's lifetime
+// experiment (Figures 11-13) is built on Run; its gateway-count
+// experiment (Figure 10) needs no interval loop and lives in
+// internal/experiments.
 package sim
 
 import (
@@ -23,8 +27,6 @@ import (
 	"pacds/internal/energy"
 	"pacds/internal/geom"
 	"pacds/internal/mobility"
-	"pacds/internal/udg"
-	"pacds/internal/xrand"
 )
 
 // Config parameterizes one lifetime simulation run.
@@ -171,87 +173,48 @@ func Run(cfg Config) (*Metrics, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	maxIntervals := cfg.MaxIntervals
-	if maxIntervals <= 0 {
-		maxIntervals = 100000
-	}
-	rng := xrand.New(cfg.Seed)
-	placeRNG := rng.Split(1)
-	moveRNG := rng.Split(2)
-
-	ucfg := udg.Config{N: cfg.N, Field: cfg.Field, Radius: cfg.Radius}
-	var inst *udg.Instance
-	var err error
-	if cfg.ConnectedStart {
-		inst, err = udg.RandomConnected(ucfg, placeRNG, 5000)
-	} else {
-		inst, err = udg.Random(ucfg, placeRNG)
-	}
+	s, err := NewStepper(cfg)
 	if err != nil {
 		return nil, err
 	}
-
-	levels := energy.NewLevels(cfg.N, cfg.InitialEnergy)
-	if cfg.InitialLevels != nil {
-		for v, e := range cfg.InitialLevels {
-			levels.SetLevel(v, e)
-		}
-	}
-	el := make([]float64, cfg.N)
 	m := &Metrics{FirstDead: -1}
-
-	for interval := 1; ; interval++ {
-		for v := 0; v < cfg.N; v++ {
-			el[v] = levels.Level(v)
-		}
-		res, err := cds.Compute(inst.Graph, cfg.Policy, el)
+	total := 0
+	m.Intervals, m.Truncated, err = s.Run(func(interval int) (bool, error) {
+		res, err := cds.Compute(s.Inst.Graph, cfg.Policy, s.Energy)
 		if err != nil {
-			return nil, err
+			return false, err
 		}
 		if cfg.Verify {
-			if err := cds.VerifyCDS(inst.Graph, res.Gateway); err != nil {
-				return nil, fmt.Errorf("sim: interval %d: %w", interval, err)
+			if err := cds.VerifyCDS(s.Inst.Graph, res.Gateway); err != nil {
+				return false, fmt.Errorf("sim: interval %d: %w", interval, err)
 			}
 		}
-		if !inst.Graph.IsConnected() {
+		if !s.Inst.Graph.IsConnected() {
 			m.DisconnectedIntervals++
 		}
-		m.GatewayCounts = append(m.GatewayCounts, res.NumGateways())
+		count := res.NumGateways()
+		m.GatewayCounts = append(m.GatewayCounts, count)
+		total += count
 
-		energy.ApplyInterval(levels, res.Gateway, cfg.Drain, cfg.NonGatewayDrain)
+		energy.ApplyInterval(s.Levels, res.Gateway, cfg.Drain, cfg.NonGatewayDrain)
 		if cfg.Observer != nil {
-			cfg.Observer(interval, res, levels)
+			cfg.Observer(interval, res, s.Levels)
 		}
-		if levels.AnyDead() {
-			m.Intervals = interval
-			for v := 0; v < cfg.N; v++ {
-				if !levels.Alive(v) {
-					m.FirstDead = v
-					break
-				}
-			}
+		return s.Levels.AnyDead(), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	// A run that was not truncated stopped at a death; name the first host.
+	for v := 0; v < cfg.N && !m.Truncated; v++ {
+		if !s.Levels.Alive(v) {
+			m.FirstDead = v
 			break
 		}
-		if interval >= maxIntervals {
-			m.Intervals = interval
-			m.Truncated = true
-			break
-		}
-		if cfg.Mobility != nil {
-			cfg.Mobility.Step(inst.Positions, cfg.Field, moveRNG)
-			inst.Rebuild()
-		}
 	}
-
-	total := 0
-	for _, c := range m.GatewayCounts {
-		total += c
-	}
-	if len(m.GatewayCounts) > 0 {
-		m.MeanGateways = float64(total) / float64(len(m.GatewayCounts))
-	}
-	m.ResidualEnergy = levels.Total()
-	m.ResidualVariance = levels.Variance()
+	m.MeanGateways = float64(total) / float64(m.Intervals)
+	m.ResidualEnergy = s.Levels.Total()
+	m.ResidualVariance = s.Levels.Variance()
 	return m, nil
 }
 
@@ -263,60 +226,9 @@ type TrialStats struct {
 	TruncatedRuns int
 }
 
-// RunTrials executes trials independent runs of cfg, deriving per-trial
-// seeds from cfg.Seed.
+// RunTrials executes trials independent runs of cfg one after another,
+// deriving per-trial seeds from cfg.Seed; it is RunTrialsParallel with one
+// worker.
 func RunTrials(cfg Config, trials int) (*TrialStats, error) {
-	if trials <= 0 {
-		return nil, fmt.Errorf("sim: trials must be positive, got %d", trials)
-	}
-	seedRNG := xrand.New(cfg.Seed)
-	ts := &TrialStats{Trials: trials}
-	for i := 0; i < trials; i++ {
-		c := cfg
-		c.Seed = seedRNG.Uint64()
-		m, err := Run(c)
-		if err != nil {
-			return nil, err
-		}
-		ts.Lifetime = append(ts.Lifetime, float64(m.Intervals))
-		ts.MeanGateways = append(ts.MeanGateways, m.MeanGateways)
-		if m.Truncated {
-			ts.TruncatedRuns++
-		}
-	}
-	return ts, nil
-}
-
-// GatewayCountSample computes the gateway count of each policy on `trials`
-// fresh connected random instances with uniform energy — the paper's first
-// experiment (Figure 10). With uniform energy EL2 coincides with ND by
-// construction (energy ties fall through to node degree then ID); EL1
-// tracks ID closely but not exactly, because its generalized three-case
-// Rule 2 prunes cases the original min-ID Rule 2 does not.
-func GatewayCountSample(n int, field geom.Rect, radius float64, initialEnergy float64,
-	trials int, seed uint64) (map[cds.Policy][]float64, error) {
-	if trials <= 0 {
-		return nil, fmt.Errorf("sim: trials must be positive, got %d", trials)
-	}
-	rng := xrand.New(seed)
-	out := make(map[cds.Policy][]float64, len(cds.Policies))
-	el := make([]float64, n)
-	for i := range el {
-		el[i] = initialEnergy
-	}
-	cfgU := udg.Config{N: n, Field: field, Radius: radius}
-	for t := 0; t < trials; t++ {
-		inst, err := udg.RandomConnected(cfgU, rng, 5000)
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range cds.Policies {
-			res, err := cds.Compute(inst.Graph, p, el)
-			if err != nil {
-				return nil, err
-			}
-			out[p] = append(out[p], float64(res.NumGateways()))
-		}
-	}
-	return out, nil
+	return RunTrialsParallel(cfg, trials, 1)
 }

@@ -5,7 +5,6 @@ import (
 
 	"pacds/internal/cds"
 	"pacds/internal/energy"
-	"pacds/internal/geom"
 	"pacds/internal/mobility"
 	"pacds/internal/stats"
 )
@@ -192,40 +191,6 @@ func TestRunTrials(t *testing.T) {
 	}
 	if _, err := RunTrials(cfg, 0); err == nil {
 		t.Fatal("RunTrials(0) accepted")
-	}
-}
-
-func TestGatewayCountSample(t *testing.T) {
-	out, err := GatewayCountSample(30, geom.Square(100), 25, 100, 10, 77)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range cds.Policies {
-		if len(out[p]) != 10 {
-			t.Fatalf("policy %v has %d samples", p, len(out[p]))
-		}
-	}
-	// With uniform energy EL2 coincides with ND per instance: both use the
-	// same rule template and the energy tie falls through to (nd, id).
-	// EL1 does NOT coincide with ID — it shares the comparator but uses
-	// the generalized three-case Rule 2, which prunes more aggressively
-	// than the original min-ID Rule 2.
-	for i := range out[cds.ID] {
-		if out[cds.EL2][i] != out[cds.ND][i] {
-			t.Errorf("trial %d: EL2 %v != ND %v under uniform energy", i, out[cds.EL2][i], out[cds.ND][i])
-		}
-	}
-	if el1, id := stats.Mean(out[cds.EL1]), stats.Mean(out[cds.ID]); el1 > id {
-		t.Errorf("EL1 mean %v should not exceed ID mean %v (its Rule 2 is strictly more aggressive)", el1, id)
-	}
-	// Rules shrink the marking output.
-	idMean := stats.Mean(out[cds.ID])
-	nrMean := stats.Mean(out[cds.NR])
-	if idMean >= nrMean {
-		t.Errorf("ID mean %v should be below NR mean %v", idMean, nrMean)
-	}
-	if _, err := GatewayCountSample(10, geom.Square(100), 25, 100, 0, 1); err == nil {
-		t.Fatal("zero trials accepted")
 	}
 }
 

@@ -14,13 +14,11 @@ import (
 	"fmt"
 
 	"pacds/internal/cds"
-	"pacds/internal/energy"
 	"pacds/internal/geom"
 	"pacds/internal/graph"
 	"pacds/internal/mobility"
 	"pacds/internal/routing"
-	"pacds/internal/udg"
-	"pacds/internal/xrand"
+	"pacds/internal/sim"
 )
 
 // Flow is a constant-bit-rate conversation between two hosts.
@@ -144,59 +142,49 @@ func (m *Metrics) MeanHops() float64 {
 	return float64(m.TotalHops) / float64(m.Delivered)
 }
 
-// Run executes one packet-level simulation.
+// Run executes one packet-level simulation. Its interval loop is a body
+// over sim.Stepper: the run starts connected, flows are drawn from the
+// stepper's third stream, and hosts move between intervals.
 func Run(cfg Config) (*Metrics, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	maxIntervals := cfg.MaxIntervals
-	if maxIntervals <= 0 {
-		maxIntervals = 100000
 	}
 	stopBelow := cfg.StopWhenAliveBelow
 	if stopBelow <= 0 {
 		stopBelow = 0.5
 	}
-	rng := xrand.New(cfg.Seed)
-	placeRNG := rng.Split(1)
-	moveRNG := rng.Split(2)
-	flowRNG := rng.Split(3)
-
-	inst, err := udg.RandomConnected(udg.Config{N: cfg.N, Field: cfg.Field, Radius: cfg.Radius}, placeRNG, 5000)
+	s, err := sim.NewStepper(sim.Config{
+		N: cfg.N, Field: cfg.Field, Radius: cfg.Radius, InitialEnergy: cfg.InitialEnergy,
+		Mobility: cfg.Mobility, MaxIntervals: cfg.MaxIntervals, Seed: cfg.Seed, ConnectedStart: true,
+	})
 	if err != nil {
 		return nil, err
 	}
-	levels := energy.NewLevels(cfg.N, cfg.InitialEnergy)
+	levels := s.Levels
 
 	flows := make([]Flow, cfg.NumFlows)
 	for i := range flows {
-		src := graph.NodeID(flowRNG.Intn(cfg.N))
-		dst := graph.NodeID(flowRNG.Intn(cfg.N))
+		src := graph.NodeID(s.RNG.Intn(cfg.N))
+		dst := graph.NodeID(s.RNG.Intn(cfg.N))
 		for dst == src && cfg.N > 1 {
-			dst = graph.NodeID(flowRNG.Intn(cfg.N))
+			dst = graph.NodeID(s.RNG.Intn(cfg.N))
 		}
 		flows[i] = Flow{Src: src, Dst: dst}
 	}
 
 	m := &Metrics{}
-	el := make([]float64, cfg.N)
 	gwSum := 0
-
-	for interval := 1; ; interval++ {
-		// Topology over alive hosts only: dead hosts keep their position
-		// but have no links.
-		g := aliveGraph(inst, levels)
-		for v := 0; v < cfg.N; v++ {
-			el[v] = levels.Level(v)
-		}
-		res, err := cds.Compute(g, cfg.Policy, el)
+	m.Intervals, m.Truncated, err = s.Run(func(interval int) (bool, error) {
+		// Topology over alive hosts only.
+		g := s.Restricted(levels.Alive)
+		res, err := cds.Compute(g, cfg.Policy, s.Energy)
 		if err != nil {
-			return nil, err
+			return false, err
 		}
 		gwSum += res.NumGateways()
 		router, err := routing.New(g, res.Gateway)
 		if err != nil {
-			return nil, err
+			return false, err
 		}
 
 		// Offer the interval's load.
@@ -210,7 +198,7 @@ func Run(cfg Config) (*Metrics, error) {
 				var path []graph.NodeID
 				var rerr error
 				if cfg.EnergyAwareRouting {
-					path, rerr = router.RouteMaxMin(f.Src, f.Dst, el)
+					path, rerr = router.RouteMaxMin(f.Src, f.Dst, s.Energy)
 				} else {
 					path, rerr = router.Route(f.Src, f.Dst)
 				}
@@ -237,50 +225,19 @@ func Run(cfg Config) (*Metrics, error) {
 			}
 		}
 
-		m.Intervals = interval
 		if levels.AnyDead() && m.FirstDeathInterval == 0 {
 			m.FirstDeathInterval = interval
 			if !cfg.ContinueAfterDeath {
-				break
+				return true, nil
 			}
 		}
-		if cfg.ContinueAfterDeath &&
-			float64(levels.NumAlive()) < stopBelow*float64(cfg.N) {
-			break
-		}
-		if interval >= maxIntervals {
-			m.Truncated = true
-			break
-		}
-		if cfg.Mobility != nil {
-			cfg.Mobility.Step(inst.Positions, cfg.Field, moveRNG)
-			inst.Rebuild()
-		}
+		return cfg.ContinueAfterDeath && float64(levels.NumAlive()) < stopBelow*float64(cfg.N), nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	m.MeanGateways = float64(gwSum) / float64(m.Intervals)
 	m.AliveAtEnd = levels.NumAlive()
 	return m, nil
-}
-
-// aliveGraph builds the unit-disk graph restricted to alive hosts.
-func aliveGraph(inst *udg.Instance, levels *energy.Levels) *graph.Graph {
-	full := udg.Build(inst.Positions, inst.Config.Field, inst.Config.Radius)
-	anyDead := false
-	for v := 0; v < levels.N(); v++ {
-		if !levels.Alive(v) {
-			anyDead = true
-			break
-		}
-	}
-	if !anyDead {
-		return full
-	}
-	g := graph.New(full.NumNodes())
-	full.Edges(func(u, v graph.NodeID) {
-		if levels.Alive(int(u)) && levels.Alive(int(v)) {
-			g.AddEdge(u, v)
-		}
-	})
-	return g
 }
