@@ -123,10 +123,12 @@ load:
 # Session maintenance benchmarks behind the incremental rule phase
 # (DESIGN.md sections 12-13): maintained-vs-scratch delta application at
 # N=300, plus the N=1000 sparse scaling sweep whose per-batch cost tracks
-# the dirty frontier rather than the host population.
+# the dirty frontier rather than the host population. Prints the JSON
+# summary; it writes no baseline, because BENCH_PR8.json also holds the
+# ServerCompute rows that bench-server-check gates on.
 bench-sessions:
 	$(GO) test -run '^$$' -bench SessionApplyChanges -benchmem -count 5 . | tee bench-sessions.out
-	$(GO) run ./cmd/benchjson -o BENCH_PR8.json bench-sessions.out
+	$(GO) run ./cmd/benchjson bench-sessions.out
 
 # Perf regression gate: re-run the session benchmarks once and diff their
 # ns/op against the checked-in session baseline; any benchmark more than

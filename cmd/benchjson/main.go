@@ -19,7 +19,9 @@
 // default) additionally gates allocs/op the same way, so an allocation
 // win locked into a baseline cannot silently erode. Benchmarks only on
 // one side are reported but never fail the gate (they are new or
-// retired, not slower).
+// retired, not slower). A diff that compares no benchmark at all fails:
+// a gate whose rows are all gone would otherwise pass without checking
+// anything.
 package main
 
 import (
@@ -107,7 +109,8 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 
 // diffBaseline compares the current summary's ns/op (and, with a
 // non-negative allocThreshold, allocs/op) means against a prior benchjson
-// artifact and errors out on any regression beyond the threshold.
+// artifact and errors out on any regression beyond the threshold, or when
+// no benchmark's ns/op was on both sides to compare.
 func diffBaseline(w io.Writer, path string, cur map[string]map[string]float64, threshold, allocThreshold float64) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -123,6 +126,7 @@ func diffBaseline(w io.Writer, path string, cur map[string]map[string]float64, t
 	}
 	sort.Strings(names)
 	var regressions []string
+	compared := 0
 	gate := func(name, unit string, limit float64) {
 		curV, ok := cur[name][unit]
 		if !ok {
@@ -131,6 +135,9 @@ func diffBaseline(w io.Writer, path string, cur map[string]map[string]float64, t
 		baseV, ok := base[name][unit]
 		if !ok {
 			return
+		}
+		if unit == "ns/op" {
+			compared++
 		}
 		// A zero-alloc baseline admits only zero; ns/op is never zero.
 		if baseV == 0 {
@@ -170,6 +177,9 @@ func diffBaseline(w io.Writer, path string, cur map[string]map[string]float64, t
 	if len(regressions) > 0 {
 		return fmt.Errorf("%d regression(s) vs %s:\n  %s",
 			len(regressions), path, strings.Join(regressions, "\n  "))
+	}
+	if compared == 0 {
+		return fmt.Errorf("no benchmark shares an ns/op row with %s: nothing was compared", path)
 	}
 	return nil
 }

@@ -98,6 +98,24 @@ func TestBaselineDiff(t *testing.T) {
 	}
 }
 
+// TestBaselineWithNoSharedRowFails: a diff whose benchmarks all miss the
+// baseline compares nothing, so it must fail rather than pass vacuously.
+func TestBaselineWithNoSharedRowFails(t *testing.T) {
+	dir := t.TempDir()
+	base := filepath.Join(dir, "base.json")
+	writeJSON(t, base, map[string]map[string]float64{
+		"ServerCompute/cold": {"ns/op": 1e9},
+	})
+	var out strings.Builder
+	err := run([]string{"-baseline", base}, strings.NewReader(sampleOutput), &out)
+	if err == nil || !strings.Contains(err.Error(), "nothing was compared") {
+		t.Fatalf("want a nothing-compared error, got %v; output:\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "new (no baseline entry)") {
+		t.Fatalf("diff output does not report the unmatched rows:\n%s", out.String())
+	}
+}
+
 func TestBaselineAllocGate(t *testing.T) {
 	dir := t.TempDir()
 	base := filepath.Join(dir, "base.json")

@@ -97,6 +97,8 @@ type slots struct {
 	wl *Worklist
 	// feed also receives every neighbor of a flipped slot.
 	feed *Worklist
+	// flips, when set, receives every flipped slot.
+	flips *Worklist
 }
 
 // at returns the i-th slot to visit, or false past the end.
@@ -132,6 +134,9 @@ func (r *Rules) sweep(rule slotRule, before, after []bool, s slots) {
 			continue
 		}
 		after[v] = now
+		if s.flips != nil {
+			s.flips.Add(v)
+		}
 		if s.wl == nil {
 			continue
 		}
@@ -161,7 +166,8 @@ func (r *Rules) apply(gw []bool, order []graph.NodeID) {
 // seed — every slot whose inputs (adjacency, degree, energy, marker)
 // changed since that pass — and is the Rule-1 worklist; f2 is reset to
 // the seed and becomes the Rule-2 worklist. On return both hold every
-// slot visited, and gw1 and gw2 equal a whole-graph pass from marked:
+// slot visited, flipped holds every slot whose gw2 status changed, and
+// gw1 and gw2 equal a whole-graph pass from marked:
 //
 //   - A slot never visited keeps its value, which is correct because none
 //     of its inputs, nor the statuses visible at its slot, changed.
@@ -172,15 +178,16 @@ func (r *Rules) apply(gw []bool, order []graph.NodeID) {
 //     neighbors to the Rule-1 sweep and all neighbors to the Rule-2 sweep
 //     (gw1 is every Rule-2 slot's baseline); a Rule-2 flip admits the
 //     higher-ID neighbors.
-func (r *Rules) Resweep(marked, gw1, gw2 []bool, f1, f2 *Worklist) {
+func (r *Rules) Resweep(marked, gw1, gw2 []bool, f1, f2, flipped *Worklist) {
 	f1.Sort()
 	f2.Reset()
+	flipped.Reset()
 	for _, v := range f1.list {
 		f2.Add(v)
 	}
 	r.sweep(rule1, marked, gw1, slots{wl: f1, feed: f2})
 	f2.Sort()
-	r.sweep(r.rule2, gw1, gw2, slots{wl: f2})
+	r.sweep(r.rule2, gw1, gw2, slots{wl: f2, flips: flipped})
 }
 
 // Worklist is an epoch-stamped node set: O(1) Add and Has, and O(1) Reset

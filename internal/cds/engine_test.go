@@ -29,16 +29,19 @@ func TestResweepAllSeedsMatchesApplyRules(t *testing.T) {
 			for v := range gw1 {
 				gw1[v], gw2[v] = rng.Bool(0.5), rng.Bool(0.5)
 			}
-			var f1, f2 Worklist
+			stale := append([]bool(nil), gw2...)
+			var f1, f2, flipped Worklist
 			f1.Init(n)
 			f2.Init(n)
+			flipped.Init(n)
 			for v := n - 1; v >= 0; v-- {
 				f1.Add(graph.NodeID(v))
 			}
-			r.Resweep(marked, gw1, gw2, &f1, &f2)
+			r.Resweep(marked, gw1, gw2, &f1, &f2, &flipped)
 			if !equalBools(gw1, want1) || !equalBools(gw2, want) {
 				t.Fatalf("trial %d policy %v: all-seed resweep differs from the whole-graph pass", trial, p)
 			}
+			checkFlipped(t, stale, gw2, &flipped)
 			if len(f2.List()) != n {
 				t.Fatalf("trial %d policy %v: Rule-2 worklist holds %d of %d hosts", trial, p, len(f2.List()), n)
 			}
@@ -74,9 +77,10 @@ func TestResweepLocalChangeMatchesApplyRules(t *testing.T) {
 		if !g.RemoveEdge(a, b) {
 			g.AddEdge(a, b)
 		}
-		var seed, f2 Worklist
+		var seed, f2, flipped Worklist
 		seed.Init(n)
 		f2.Init(n)
+		flipped.Init(n)
 		fresh := Mark(g)
 		for v := 0; v < n; v++ {
 			id := graph.NodeID(v)
@@ -87,19 +91,39 @@ func TestResweepLocalChangeMatchesApplyRules(t *testing.T) {
 				}
 			}
 		}
-		r.Resweep(fresh, gw1, gw2, &seed, &f2)
+		old := append([]bool(nil), gw2...)
+		r.Resweep(fresh, gw1, gw2, &seed, &f2, &flipped)
 
 		want1, _ := ApplyRule1Only(g, p, fresh, energy)
 		want, _ := ApplyRules(g, p, fresh, energy)
 		if !equalBools(gw1, want1) || !equalBools(gw2, want) {
 			t.Fatalf("trial %d policy %v toggle %d-%d: resweep differs from the whole-graph pass", trial, p, a, b)
 		}
+		checkFlipped(t, old, gw2, &flipped)
 		if len(f2.List()) < n {
 			local++
 		}
 	}
 	if local == 0 {
 		t.Fatal("no toggle stayed local: every resweep visited the whole graph")
+	}
+}
+
+// checkFlipped checks that flipped holds exactly the hosts whose status
+// differs between before and after.
+func checkFlipped(t *testing.T, before, after []bool, flipped *Worklist) {
+	t.Helper()
+	changed := 0
+	for v := range after {
+		if before[v] != after[v] {
+			changed++
+		}
+		if flipped.Has(graph.NodeID(v)) != (before[v] != after[v]) {
+			t.Fatalf("host %d: in flipped = %v, status %v -> %v", v, flipped.Has(graph.NodeID(v)), before[v], after[v])
+		}
+	}
+	if len(flipped.List()) != changed {
+		t.Fatalf("flipped lists %d hosts, %d changed", len(flipped.List()), changed)
 	}
 }
 

@@ -20,11 +20,12 @@ import "pacds/internal/graph"
 type IncrementalMarker struct {
 	g      *graph.Graph
 	marked []bool
-	// dirty collects nodes whose marker must be recomputed before the next
-	// read. Stored as a set to deduplicate across batched edge updates.
-	dirty map[graph.NodeID]struct{}
-	// Recomputed counts marker recomputations since construction; the
-	// locality benchmark reads it.
+	// dirty collects the hosts whose marker must be recomputed before the
+	// next read, deduplicated across batched edge updates.
+	dirty Worklist
+	// flipped lists the hosts whose marker the latest Marked changed.
+	flipped []graph.NodeID
+	// Recomputed counts marker recomputations since construction.
 	Recomputed int
 }
 
@@ -32,67 +33,62 @@ type IncrementalMarker struct {
 // The marker keeps a reference to g; apply all subsequent topology changes
 // through AddEdge/RemoveEdge so markers stay consistent.
 func NewIncrementalMarker(g *graph.Graph) *IncrementalMarker {
-	return &IncrementalMarker{
-		g:      g,
-		marked: Mark(g),
-		dirty:  make(map[graph.NodeID]struct{}),
-	}
+	im := &IncrementalMarker{g: g, marked: Mark(g)}
+	im.dirty.Init(g.NumNodes())
+	return im
 }
 
-// noteAffected marks the affected set of edge {a, b} dirty. Must be called
-// while the edge set contains the POST-change adjacency for a and b except
-// that common neighbors are the same before and after the toggle of {a, b}
-// itself (toggling {a, b} does not change N(a) ∩ N(b)).
+// noteAffected marks the affected set of edge {a, b} dirty. Toggling
+// {a, b} does not change N(a) ∩ N(b), so the set is the same whether it
+// is read before or after the toggle.
 func (im *IncrementalMarker) noteAffected(a, b graph.NodeID) {
-	im.dirty[a] = struct{}{}
-	im.dirty[b] = struct{}{}
-	na, nb := im.g.Neighbors(a), im.g.Neighbors(b)
-	i, j := 0, 0
-	for i < len(na) && j < len(nb) {
-		switch {
-		case na[i] < nb[j]:
-			i++
-		case na[i] > nb[j]:
-			j++
-		default:
-			im.dirty[na[i]] = struct{}{}
-			i++
-			j++
-		}
-	}
+	im.dirty.Add(a)
+	im.dirty.Add(b)
+	im.g.ForEachCommonNeighbor(a, b, im.dirty.Add)
 }
 
 // AddEdge inserts {a, b} into the underlying graph and marks the affected
-// nodes for recomputation.
-func (im *IncrementalMarker) AddEdge(a, b graph.NodeID) {
+// nodes for recomputation. It reports whether the edge is new; adding an
+// existing edge changes nothing.
+func (im *IncrementalMarker) AddEdge(a, b graph.NodeID) bool {
+	if im.g.HasEdge(a, b) {
+		return false
+	}
 	im.g.AddEdge(a, b)
 	im.noteAffected(a, b)
+	return true
 }
 
-// RemoveEdge removes {a, b} and marks the affected nodes.
-func (im *IncrementalMarker) RemoveEdge(a, b graph.NodeID) {
-	if im.g.RemoveEdge(a, b) {
-		im.noteAffected(a, b)
+// RemoveEdge removes {a, b} and marks the affected nodes. It reports
+// whether the edge was present.
+func (im *IncrementalMarker) RemoveEdge(a, b graph.NodeID) bool {
+	if !im.g.RemoveEdge(a, b) {
+		return false
 	}
-}
-
-// flush recomputes markers for all dirty nodes.
-func (im *IncrementalMarker) flush() {
-	for v := range im.dirty {
-		im.marked[v] = im.g.HasUnconnectedNeighbors(v)
-		im.Recomputed++
-	}
-	clear(im.dirty)
+	im.noteAffected(a, b)
+	return true
 }
 
 // Marked returns the current markers, recomputing pending dirty nodes
 // first. The returned slice aliases internal state; callers must not
 // modify it.
 func (im *IncrementalMarker) Marked() []bool {
-	im.flush()
+	im.flipped = im.flipped[:0]
+	for _, v := range im.dirty.List() {
+		if m := im.g.HasUnconnectedNeighbors(v); m != im.marked[v] {
+			im.marked[v] = m
+			im.flipped = append(im.flipped, v)
+		}
+	}
+	im.Recomputed += len(im.dirty.List())
+	im.dirty.Reset()
 	return im.marked
 }
 
+// Flipped returns the nodes whose marker the latest Marked call changed.
+// The slice aliases internal state and is valid until the next Marked.
+func (im *IncrementalMarker) Flipped() []graph.NodeID { return im.flipped }
+
 // PendingDirty returns how many nodes await recomputation — the size of
 // the locality footprint of the updates since the last read.
-func (im *IncrementalMarker) PendingDirty() int { return len(im.dirty) }
+func (im *IncrementalMarker) PendingDirty() int { return len(im.dirty.List()) }

@@ -121,6 +121,59 @@ func TestIncrementalRemoveMissingEdge(t *testing.T) {
 	}
 }
 
+// TestIncrementalFlippedAndToggleReports: AddEdge and RemoveEdge report
+// whether they changed the graph (a no-op dirties nothing), and Flipped
+// lists exactly the nodes whose marker the latest Marked changed.
+func TestIncrementalFlippedAndToggleReports(t *testing.T) {
+	rng := xrand.New(29)
+	for trial := 0; trial < 10; trial++ {
+		n := 8 + rng.Intn(30)
+		g := graph.New(n)
+		im := NewIncrementalMarker(g)
+		if len(im.Flipped()) != 0 {
+			t.Fatal("a new marker reports flips")
+		}
+		prev := append([]bool(nil), im.Marked()...)
+		for step := 0; step < 40; step++ {
+			u, v := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
+			if u == v {
+				continue
+			}
+			// Toggle {u, v}; repeating the toggle's direction is a no-op.
+			if g.HasEdge(u, v) {
+				if !im.RemoveEdge(u, v) || im.RemoveEdge(u, v) {
+					t.Fatalf("trial %d: RemoveEdge(%d, %d) misreported", trial, u, v)
+				}
+			} else if !im.AddEdge(u, v) || im.AddEdge(u, v) {
+				t.Fatalf("trial %d: AddEdge(%d, %d) misreported", trial, u, v)
+			}
+			if step%3 != 0 {
+				continue
+			}
+			dirty := im.PendingDirty()
+			got := im.Marked()
+			flipped := map[graph.NodeID]bool{}
+			for _, x := range im.Flipped() {
+				flipped[x] = true
+			}
+			for x := range got {
+				if flipped[graph.NodeID(x)] != (got[x] != prev[x]) {
+					t.Fatalf("trial %d step %d: node %d flipped=%v, marker %v -> %v", trial, step, x, flipped[graph.NodeID(x)], prev[x], got[x])
+				}
+			}
+			if len(im.Flipped()) > dirty {
+				t.Fatalf("trial %d step %d: %d flips from %d dirty nodes", trial, step, len(im.Flipped()), dirty)
+			}
+			copy(prev, got)
+		}
+	}
+	g := graph.Path(4)
+	im := NewIncrementalMarker(g)
+	if im.AddEdge(0, 1) || im.RemoveEdge(0, 3) || im.PendingDirty() != 0 {
+		t.Fatal("a no-op toggle reported a change or dirtied nodes")
+	}
+}
+
 func TestIncrementalBatchingDeduplicates(t *testing.T) {
 	// Many edits around the same hub dirty the hub once per flush, not
 	// once per edit.

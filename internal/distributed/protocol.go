@@ -73,28 +73,10 @@ func Run(g *graph.Graph, p cds.Policy, energy []float64) ([]bool, Stats, error) 
 // and runs the two rule sweeps in ID-ordered slots. For NR the gateway
 // state is simply the markers.
 func runRulePhase(nw *network, nodes []*node, p cds.Policy) {
-	runRulePhaseRecord(nw, nodes, p, nil)
-}
-
-// runRulePhaseRecord is runRulePhase with an optional snapshot of the
-// post-Rule-1 statuses into gw1 (ignored when nil). The incremental
-// maintenance path (session.go) keeps that snapshot as the between-sweep
-// baseline its dirty-frontier slots diff against; for NR, where no sweeps
-// run, the recorded statuses are the markers.
-func runRulePhaseRecord(nw *network, nodes []*node, p cds.Policy, gw1 []bool) {
 	for _, nd := range nodes {
 		nd.beginRulePhase()
 	}
-	record := func() {
-		if gw1 == nil {
-			return
-		}
-		for v, nd := range nodes {
-			gw1[v] = nd.gateway
-		}
-	}
 	if p == cds.NR {
-		record()
 		return
 	}
 	sweep := func(try func(*node) bool) {
@@ -110,6 +92,5 @@ func runRulePhaseRecord(nw *network, nodes []*node, p cds.Policy, gw1 []bool) {
 		}
 	}
 	sweep(func(nd *node) bool { return nd.tryRule1(p) })
-	record()
 	sweep(func(nd *node) bool { return nd.tryRule2(p) })
 }

@@ -41,38 +41,37 @@ var ErrStale = errors.New("distributed: stale session input")
 // would propagate. The result is provably identical to re-running the
 // full sweep (see DESIGN.md §13 and the equivalence property test); a
 // static host far from any change transmits nothing and computes nothing.
+//
+// A session does not simulate its hosts. It holds the topology once, in
+// its graph, and computes each host's marker and rule slots from it: what
+// Run's hosts decide from the knowledge their messages carry. Stats count
+// the broadcasts the protocol makes, each charged as Run's radio would
+// charge it: one message, its payload bytes and one delivery per current
+// neighbor of the sender.
 type Session struct {
 	g      *graph.Graph
-	nodes  []*node
-	nw     *network
 	policy cds.Policy
 	// epoch counts state-mutating operations since bootstrap: every
 	// successful ApplyChanges or UpdateEnergy increments it exactly once.
 	// The bootstrapped state is epoch 0.
 	epoch uint64
+	stats Stats
 
-	// Centralized mirrors of the converged distributed state. The package's
-	// invariant test (TestSessionKnowledgeMatchesGraph) establishes that
-	// every host's local knowledge agrees with the global graph at
-	// rule-phase time, so the frontier slots are evaluated against these
-	// mirrors with the graph's bitset kernels and give the answers the
-	// hosts' own rule evaluation would.
-	rules     cds.Rules // policy rules bound to g and energyArr
-	energyArr []float64 // mutated in place, never reallocated (rules' priority order closes over it)
-	markerArr []bool    // m(v) after the latest marking recomputation
-	gw1       []bool    // statuses after the latest Rule-1 sweep
-	gw2       []bool    // final statuses; always equals the hosts' gateway flags
+	marker    *cds.IncrementalMarker // m(v), maintained over g
+	rules     cds.Rules              // policy rules bound to g and energyArr
+	energyArr []float64              // mutated in place, never reallocated (rules' priority order closes over it)
+	gw1       []bool                 // statuses after the latest Rule-1 sweep
+	gw2       []bool                 // final statuses
 
 	// Batch-scoped scratch sets, epoch-stamped so a maintenance interval
 	// allocates nothing in steady state.
 	linkChanged  cds.Worklist // hosts whose own link set changed
-	affected     cds.Worklist // hosts whose marker may change
 	seed         cds.Worklist // dirty frontier: the Rule-1 worklist
 	f2           cds.Worklist // Rule-2 worklist
+	flipped      cds.Worklist // hosts whose final status the rule phase changed
 	pendingDirty cds.Worklist // energy-dirty hosts awaiting the next rule phase
 
 	lastFrontier int
-	fullSweep    bool // test oracle: unconditional full sweep per interval
 }
 
 // EdgeChange is one link-layer event: link {A, B} appeared (Up) or
@@ -83,7 +82,7 @@ type EdgeChange struct {
 }
 
 // NewSession bootstraps a session with the full three-phase protocol plus
-// the initial rule phase. energy is required for EL1/EL2.
+// the initial rule phase, at Run's cost. energy is required for EL1/EL2.
 func NewSession(g *graph.Graph, p cds.Policy, energy []float64) (*Session, error) {
 	n := g.NumNodes()
 	if p.NeedsEnergy() && len(energy) != n {
@@ -91,10 +90,8 @@ func NewSession(g *graph.Graph, p cds.Policy, energy []float64) (*Session, error
 	}
 	s := &Session{
 		g:         g.Clone(),
-		nodes:     make([]*node, n),
 		policy:    p,
 		energyArr: make([]float64, n),
-		markerArr: make([]bool, n),
 		gw1:       make([]bool, n),
 		gw2:       make([]bool, n),
 	}
@@ -106,35 +103,53 @@ func NewSession(g *graph.Graph, p cds.Policy, energy []float64) (*Session, error
 	}
 	s.rules = rules
 	s.linkChanged.Init(n)
-	s.affected.Init(n)
 	s.seed.Init(n)
 	s.f2.Init(n)
+	s.flipped.Init(n)
 	s.pendingDirty.Init(n)
-	s.nw = newNetwork(s.g)
+
+	// Bootstrap phases (as in Run), one round each: every host sends
+	// Hello, then its NeighborList, then its marker in a Status.
+	s.marker = cds.NewIncrementalMarker(s.g)
+	marked := s.marker.Marked()
 	for v := 0; v < n; v++ {
-		s.nodes[v] = newNode(graph.NodeID(v), s.energyArr[v])
+		id := graph.NodeID(v)
+		s.broadcast(Message{From: id, Kind: Hello})
+		s.broadcast(Message{From: id, Kind: NeighborList, Neighbors: s.g.Neighbors(id), Energy: s.energyArr[v]})
+		s.broadcast(Message{From: id, Kind: Status, Marked: marked[v]})
+		s.seed.Add(id)
 	}
-	// Bootstrap phases (identical to Run).
-	for _, nd := range s.nodes {
-		s.nw.broadcast(Message{From: nd.id, Kind: Hello})
-	}
-	s.nw.deliver(s.nodes)
-	for _, nd := range s.nodes {
-		s.nw.broadcast(Message{From: nd.id, Kind: NeighborList, Neighbors: nd.nbrs, Energy: nd.energy})
-	}
-	s.nw.deliver(s.nodes)
-	for _, nd := range s.nodes {
-		nd.computeMarker()
-		s.markerArr[nd.id] = nd.marker
-		s.nw.broadcast(Message{From: nd.id, Kind: Status, Marked: nd.marker})
-	}
-	s.nw.deliver(s.nodes)
-	runRulePhaseRecord(s.nw, s.nodes, s.policy, s.gw1)
-	for v, nd := range s.nodes {
-		s.gw2[v] = nd.gateway
-	}
-	s.lastFrontier = n
+	s.stats.Rounds += 3
+	// The rule phase decides every slot. Each final status starts at its
+	// marker, so the phase's flips are its unmarks; its slots are
+	// serialized, so each unmark takes a round.
+	copy(s.gw2, marked)
+	s.stats.Rounds += s.rulePhase()
 	return s, nil
+}
+
+// broadcast charges one broadcast of m: one message, its payload bytes
+// and one delivery per current neighbor of the sender.
+func (s *Session) broadcast(m Message) {
+	s.stats.Messages++
+	s.stats.Bytes += payloadBytes(m)
+	s.stats.Deliveries += s.g.Degree(m.From)
+}
+
+// addClosed adds v and its neighbors, the slots that read v, to w.
+func (s *Session) addClosed(w *cds.Worklist, v graph.NodeID) {
+	w.Add(v)
+	for _, u := range s.g.Neighbors(v) {
+		w.Add(u)
+	}
+}
+
+// endPhase charges the round of a maintenance phase that began when
+// Messages read sent; a phase that broadcast nothing takes no round.
+func (s *Session) endPhase(sent int) {
+	if s.stats.Messages > sent {
+		s.stats.Rounds++
+	}
 }
 
 // Gateways returns the current gateway assignment.
@@ -143,12 +158,12 @@ func (s *Session) Gateways() []bool {
 }
 
 // Stats returns cumulative protocol costs since bootstrap.
-func (s *Session) Stats() Stats { return s.nw.stats }
+func (s *Session) Stats() Stats { return s.stats }
 
 // Graph returns a snapshot of the session's current topology. The clone
 // costs O(V+E); pollers that only need counts or the gateway assignment
 // should use the cheap accessors (Epoch, NumNodes, NumGateways,
-// GatewaysInto, EnergySnapshot) instead.
+// GatewaysInto) instead.
 func (s *Session) Graph() *graph.Graph { return s.g.Clone() }
 
 // Epoch returns the number of successful state mutations (ApplyChanges or
@@ -157,7 +172,7 @@ func (s *Session) Graph() *graph.Graph { return s.g.Clone() }
 func (s *Session) Epoch() uint64 { return s.epoch }
 
 // NumNodes returns the (fixed) host population size without cloning.
-func (s *Session) NumNodes() int { return len(s.nodes) }
+func (s *Session) NumNodes() int { return len(s.gw2) }
 
 // NumGateways counts current gateways without allocating.
 func (s *Session) NumGateways() int {
@@ -174,35 +189,19 @@ func (s *Session) NumGateways() int {
 // if needed, and returns the slice. Unlike Gateways it lets a poller reuse
 // one buffer across reads instead of allocating per poll.
 func (s *Session) GatewaysInto(dst []bool) []bool {
-	if cap(dst) < len(s.nodes) {
-		dst = make([]bool, len(s.nodes))
+	if cap(dst) < len(s.gw2) {
+		dst = make([]bool, len(s.gw2))
 	}
-	dst = dst[:len(s.nodes)]
+	dst = dst[:len(s.gw2)]
 	copy(dst, s.gw2)
 	return dst
 }
 
-// EnergySnapshot returns a copy of every host's current energy level —
-// O(V), no graph clone.
-func (s *Session) EnergySnapshot() []float64 {
-	out := make([]float64, len(s.nodes))
-	for v, nd := range s.nodes {
-		out[v] = nd.energy
-	}
-	return out
-}
-
 // LastFrontier returns the number of rule slots the most recent rule phase
-// re-evaluated — the dirty-frontier size. After bootstrap (or on the
-// full-sweep oracle path) it equals NumNodes; in steady state it tracks
-// the size of the change's 2-hop neighborhood, not the network.
+// re-evaluated — the dirty-frontier size. After bootstrap it equals
+// NumNodes; in steady state it tracks the size of the change's 2-hop
+// neighborhood, not the network.
 func (s *Session) LastFrontier() int { return s.lastFrontier }
-
-// forceFullSweep reverts the session to the pre-incremental behavior — an
-// unconditional full rule sweep every maintenance interval. It exists as
-// the equivalence oracle for the incremental rule phase's property tests
-// and is deliberately unexported.
-func (s *Session) forceFullSweep() { s.fullSweep = true }
 
 // UpdateEnergy refreshes the hosts' energy levels and broadcasts the new
 // value for every host whose level actually changed (energy-aware policies
@@ -211,28 +210,24 @@ func (s *Session) forceFullSweep() { s.fullSweep = true }
 // their neighbors are queued as dirty for the next rule phase;
 // topology-keyed policies (ID, ND) never need this call.
 func (s *Session) UpdateEnergy(energy []float64) error {
-	if len(energy) != len(s.nodes) {
-		return fmt.Errorf("%w: %d energy values for %d hosts", ErrStale, len(energy), len(s.nodes))
+	if len(energy) != len(s.energyArr) {
+		return fmt.Errorf("%w: %d energy values for %d hosts", ErrStale, len(energy), len(s.energyArr))
 	}
-	for v, nd := range s.nodes {
-		if nd.energy == energy[v] {
+	sent := s.stats.Messages
+	for v, e := range energy {
+		if s.energyArr[v] == e {
 			continue
 		}
-		nd.energy = energy[v]
-		s.energyArr[v] = energy[v]
-		s.nw.broadcast(Message{From: nd.id, Kind: NeighborList, Neighbors: nd.nbrs, Energy: nd.energy})
+		id := graph.NodeID(v)
+		s.energyArr[v] = e
+		s.broadcast(Message{From: id, Kind: NeighborList, Neighbors: s.g.Neighbors(id), Energy: e})
 		if s.policy.NeedsEnergy() {
 			// The priority order reads el() of a slot's neighbors, so a
 			// changed level dirties the host and everyone adjacent to it.
-			s.pendingDirty.Add(nd.id)
-			for _, u := range s.g.Neighbors(nd.id) {
-				s.pendingDirty.Add(u)
-			}
+			s.addClosed(&s.pendingDirty, id)
 		}
 	}
-	if len(s.nw.pending) > 0 {
-		s.nw.deliver(s.nodes)
-	}
+	s.endPhase(sent)
 	s.epoch++
 	return nil
 }
@@ -243,153 +238,98 @@ func (s *Session) UpdateEnergy(energy []float64) error {
 func (s *Session) ApplyChanges(changes []EdgeChange) (int, error) {
 	// Validate the whole batch before touching any state, so a rejected
 	// batch leaves the session unchanged (the ErrStale contract).
+	n := len(s.gw2)
 	for _, ch := range changes {
 		if ch.A == ch.B {
 			return 0, fmt.Errorf("distributed: self link %d", ch.A)
 		}
-		if int(ch.A) >= len(s.nodes) || int(ch.B) >= len(s.nodes) || ch.A < 0 || ch.B < 0 {
-			return 0, fmt.Errorf("%w: link %d-%d out of range for %d hosts", ErrStale, ch.A, ch.B, len(s.nodes))
+		if int(ch.A) >= n || int(ch.B) >= n || ch.A < 0 || ch.B < 0 {
+			return 0, fmt.Errorf("%w: link %d-%d out of range for %d hosts", ErrStale, ch.A, ch.B, n)
 		}
 	}
-	// The set of hosts whose own link set changed, and the set whose
-	// marker could change (endpoints ∪ common neighbors, computed before
-	// and after each toggle — membership of the common-neighbor set is
-	// unchanged by toggling {a, b} itself).
+	// The endpoints learn a toggle directly (link-layer beacon detection);
+	// the marker notes which hosts' markers it may change.
 	s.linkChanged.Reset()
-	s.affected.Reset()
 	s.seed.Reset()
 	for _, ch := range changes {
+		toggled := false
 		if ch.Up {
-			if s.g.HasEdge(ch.A, ch.B) {
-				continue
-			}
-			s.g.AddEdge(ch.A, ch.B)
+			toggled = s.marker.AddEdge(ch.A, ch.B)
 		} else {
-			if !s.g.RemoveEdge(ch.A, ch.B) {
-				continue
-			}
+			toggled = s.marker.RemoveEdge(ch.A, ch.B)
 		}
-		s.linkChanged.Add(ch.A)
-		s.linkChanged.Add(ch.B)
-		s.affected.Add(ch.A)
-		s.affected.Add(ch.B)
-		s.g.ForEachCommonNeighbor(ch.A, ch.B, func(u graph.NodeID) {
-			s.affected.Add(u)
-		})
-		// Link-layer beacon detection: the endpoints learn the change
-		// directly.
-		a, b := s.nodes[ch.A], s.nodes[ch.B]
-		if ch.Up {
-			a.addNeighbor(ch.B)
-			b.addNeighbor(ch.A)
-		} else {
-			a.removeNeighbor(ch.B)
-			b.removeNeighbor(ch.A)
+		if toggled {
+			s.linkChanged.Add(ch.A)
+			s.linkChanged.Add(ch.B)
 		}
 	}
 
 	// Hosts with changed link sets broadcast their new neighbor lists.
+	sent := s.stats.Messages
 	for _, v := range s.linkChanged.List() {
-		nd := s.nodes[v]
-		s.nw.broadcast(Message{From: nd.id, Kind: NeighborList, Neighbors: nd.nbrs, Energy: nd.energy})
+		s.broadcast(Message{From: v, Kind: NeighborList, Neighbors: s.g.Neighbors(v), Energy: s.energyArr[v]})
 	}
-	if len(s.nw.pending) > 0 {
-		s.nw.deliver(s.nodes)
-	}
+	s.endPhase(sent)
 
 	// Affected hosts recompute their markers. A changed marker is
 	// broadcast; hosts whose link set changed broadcast their marker
 	// unconditionally, because a NEW neighbor has no stored marker for
-	// them yet (in a real system the status rides on the beacon). A marker
-	// flip dirties the flipped host and its readers — its neighbors.
-	s.affected.Sort()
-	changed := 0
-	for _, v := range s.affected.List() {
-		nd := s.nodes[v]
-		old := nd.marker
-		nd.computeMarker()
-		s.markerArr[v] = nd.marker
-		if nd.marker != old {
-			changed++
-			s.seed.Add(v)
-			for _, u := range s.g.Neighbors(v) {
-				s.seed.Add(u)
-			}
-		}
-		if nd.marker != old || s.linkChanged.Has(v) {
-			s.nw.broadcast(Message{From: nd.id, Kind: Status, Marked: nd.marker})
+	// them yet (in a real system the status rides on the beacon).
+	//
+	// The rule-phase frontier is seeded with every host whose slot inputs
+	// may have changed. The rules read adjacency, degree, markers and
+	// energy only within N[v], so a flipped marker or a changed link set
+	// dirties the host and its neighbors, and energy updates queued the
+	// analogous set in pendingDirty.
+	sent = s.stats.Messages
+	marked := s.marker.Marked()
+	changed := len(s.marker.Flipped())
+	for _, v := range s.marker.Flipped() {
+		s.addClosed(&s.seed, v)
+		if !s.linkChanged.Has(v) {
+			s.broadcast(Message{From: v, Kind: Status, Marked: marked[v]})
 		}
 	}
-	if len(s.nw.pending) > 0 {
-		s.nw.deliver(s.nodes)
-	}
-
-	// Seed the rule-phase frontier with every host whose slot inputs may
-	// have changed: the rules read adjacency, degree, and energy only
-	// within N[v], so changed links dirty their endpoints plus neighbors,
-	// and energy updates queued the analogous set in pendingDirty.
 	for _, v := range s.linkChanged.List() {
-		s.seed.Add(v)
-		for _, u := range s.g.Neighbors(v) {
-			s.seed.Add(u)
-		}
+		s.addClosed(&s.seed, v)
+		s.broadcast(Message{From: v, Kind: Status, Marked: marked[v]})
 	}
+	s.endPhase(sent)
 	for _, v := range s.pendingDirty.List() {
 		s.seed.Add(v)
 	}
 	s.pendingDirty.Reset()
 
-	if s.fullSweep {
-		runRulePhaseRecord(s.nw, s.nodes, s.policy, s.gw1)
-		for v, nd := range s.nodes {
-			s.gw2[v] = nd.gateway
-		}
-		s.lastFrontier = len(s.nodes)
-	} else {
-		s.incrementalRulePhase()
+	if s.rulePhase() > 0 {
+		s.stats.Rounds++ // the final statuses are decided, so the updates share one round
 	}
 	s.epoch++
 	return changed, nil
 }
 
-// incrementalRulePhase re-decides the rule slots of the seeded dirty
-// frontier through the rule engine (cds.Rules.Resweep, which grows it
-// with the cascades a full ID-ordered sweep would propagate) and commits
-// the resulting status flips to the hosts with one batched StatusUpdate
-// round. The final gw1/gw2 arrays are identical to what runRulePhase
-// would produce from the current markers; the property tests replay
-// histories against the full-sweep oracle to check exactly this.
-func (s *Session) incrementalRulePhase() {
+// rulePhase re-decides the rule slots of the seeded dirty frontier through
+// the rule engine (cds.Rules.Resweep, which grows it with the cascades a
+// full ID-ordered sweep would propagate) and broadcasts one StatusUpdate
+// per host whose final status changed. It returns how many changed; the
+// caller charges their rounds. gw1 and gw2 end equal to a full sweep from
+// the current markers, which the golden and equivalence tests check.
+func (s *Session) rulePhase() int {
+	marked := s.marker.Marked()
 	if s.policy == cds.NR {
 		// No rules: a host's gateway status is its marker, with no
-		// status-update traffic (matching the full phase, which only
-		// resets local state for NR).
+		// status-update traffic.
 		for _, v := range s.seed.List() {
-			nd := s.nodes[v]
-			s.gw1[v] = nd.marker
-			s.gw2[v] = nd.marker
-			nd.gateway = nd.marker
+			s.gw1[v] = marked[v]
+			s.gw2[v] = marked[v]
 		}
 		s.lastFrontier = len(s.seed.List())
-		return
+		return 0
 	}
-	s.rules.Resweep(s.markerArr, s.gw1, s.gw2, &s.seed, &s.f2)
-
-	// Commit: one StatusUpdate per host whose final status changed,
-	// delivered in a single round. (The bootstrap sweep pays one round per
-	// unmark because its slot serialization is load-bearing; here the
-	// final statuses are already decided, so the survivors batch.)
-	for _, v := range s.f2.List() {
-		nd := s.nodes[v]
-		if nd.gateway == s.gw2[v] {
-			continue
-		}
-		nd.gateway = s.gw2[v]
-		s.nw.broadcast(Message{From: nd.id, Kind: StatusUpdate, Marked: nd.gateway})
-		s.nw.stats.StatusChanges++
+	s.rules.Resweep(marked, s.gw1, s.gw2, &s.seed, &s.f2, &s.flipped)
+	for _, v := range s.flipped.List() {
+		s.broadcast(Message{From: v, Kind: StatusUpdate, Marked: s.gw2[v]})
 	}
-	if len(s.nw.pending) > 0 {
-		s.nw.deliver(s.nodes)
-	}
+	s.stats.StatusChanges += len(s.flipped.List())
 	s.lastFrontier = len(s.f2.List())
+	return len(s.flipped.List())
 }

@@ -13,12 +13,20 @@ import (
 
 // TestSessionIncrementalEquivalence is the incremental rule phase's
 // soundness property: over seeded mobility-and-energy histories, a session
-// using the dirty-frontier phase and one using the full-sweep oracle
-// (forceFullSweep, the pre-incremental behavior) must stay in lockstep —
+// using the dirty-frontier phase and Run, the full protocol, re-run on the
+// current topology and energy after every batch must stay in lockstep —
 // same epochs, same marker-change counts, same gateway vector after every
-// batch — for every policy.
+// batch — for every policy. Run under NR returns the markers, so the
+// marker-change count is the number of hosts whose NR status moved.
 func TestSessionIncrementalEquivalence(t *testing.T) {
 	histories := 0
+	run := func(p cds.Policy, g *graph.Graph, energy []float64) []bool {
+		gw, _, err := Run(g, p, energy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return gw
+	}
 	prop := func(seed uint16, policyIdx uint8) bool {
 		p := cds.Policies[int(policyIdx)%len(cds.Policies)]
 		rng := xrand.New(xrand.Mix(uint64(seed), uint64(policyIdx)))
@@ -37,12 +45,8 @@ func TestSessionIncrementalEquivalence(t *testing.T) {
 			t.Fatal(err)
 			return false
 		}
-		oracle, err := NewSession(inst.Graph, p, energy)
-		if err != nil {
-			t.Fatal(err)
-			return false
-		}
-		oracle.forceFullSweep()
+		var epoch uint64
+		marks := run(cds.NR, inst.Graph, nil)
 
 		model := mobility.NewPaper()
 		for step := 0; step < 6; step++ {
@@ -57,25 +61,28 @@ func TestSessionIncrementalEquivalence(t *testing.T) {
 				if err := inc.UpdateEnergy(energy); err != nil {
 					return false
 				}
-				if err := oracle.UpdateEnergy(energy); err != nil {
-					return false
-				}
+				epoch++
 			}
 			changes := applyMobilityStep(inst, model, rng)
 			ci, err := inc.ApplyChanges(changes)
 			if err != nil {
 				return false
 			}
-			co, err := oracle.ApplyChanges(changes)
-			if err != nil {
-				return false
+			epoch++
+			fresh := run(cds.NR, inst.Graph, nil)
+			co := 0
+			for v := range fresh {
+				if fresh[v] != marks[v] {
+					co++
+				}
 			}
-			if ci != co || inc.Epoch() != oracle.Epoch() {
+			marks = fresh
+			if ci != co || inc.Epoch() != epoch {
 				t.Logf("policy %v seed %d step %d: changed %d vs %d, epoch %d vs %d",
-					p, seed, step, ci, co, inc.Epoch(), oracle.Epoch())
+					p, seed, step, ci, co, inc.Epoch(), epoch)
 				return false
 			}
-			gi, go_ := inc.Gateways(), oracle.Gateways()
+			gi, go_ := inc.Gateways(), run(p, inst.Graph, energy)
 			for v := range gi {
 				if gi[v] != go_[v] {
 					t.Logf("policy %v seed %d step %d: node %d incremental=%v oracle=%v (frontier %d/%d)",

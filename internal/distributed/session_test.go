@@ -30,24 +30,32 @@ func applyMobilityStep(inst *udg.Instance, m mobility.Model, rng *xrand.RNG) []E
 	return changes
 }
 
+// TestSessionBootstrapMatchesRun: a session's bootstrap is Run, costs
+// included — the same gateways and the same Stats, field by field, for
+// every policy with energies, on connected instances of several sizes.
 func TestSessionBootstrapMatchesRun(t *testing.T) {
-	inst, err := udg.RandomConnected(udg.PaperConfig(40), xrand.New(7), 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []cds.Policy{cds.NR, cds.ID, cds.ND} {
-		s, err := NewSession(inst.Graph, p, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _, err := Run(inst.Graph, p, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := s.Gateways()
-		for v := range got {
-			if got[v] != want[v] {
-				t.Fatalf("policy %v: bootstrap differs from Run at %d", p, v)
+	rng := xrand.New(7)
+	for trial := 0; trial < 8; trial++ {
+		n := 20 + rng.Intn(100)
+		g := connectedUDG(t, n, rng.Uint64())
+		energy := randomEnergy(n, rng.Uint64())
+		for _, p := range cds.Policies {
+			s, err := NewSession(g, p, energy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, st, err := Run(g, p, energy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := s.Gateways()
+			for v := range got {
+				if got[v] != want[v] {
+					t.Fatalf("trial %d n=%d policy %v: bootstrap differs from Run at %d", trial, n, p, v)
+				}
+			}
+			if s.Stats() != st {
+				t.Fatalf("trial %d n=%d policy %v: bootstrap stats\n%+v\nRun stats\n%+v", trial, n, p, s.Stats(), st)
 			}
 		}
 	}

@@ -369,18 +369,6 @@ func TestFacadeRemainingSurface(t *testing.T) {
 	}
 }
 
-func TestFacadeDistributedSim(t *testing.T) {
-	cfg := PaperSimConfig(15, ND, ConstantPerGWDrain{}, 7)
-	cfg.Verify = true
-	dm, err := sim.RunDistributed(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dm.Intervals <= 0 || dm.Messages == 0 || dm.Mismatches != 0 {
-		t.Fatalf("metrics = %+v", dm)
-	}
-}
-
 func TestFacadeAnalyzeCDS(t *testing.T) {
 	g := FromEdges(5, [][2]NodeID{{0, 1}, {0, 4}, {1, 2}, {1, 4}, {2, 3}})
 	res, err := Compute(g, ID, nil)
