@@ -25,8 +25,6 @@ type IncrementalMarker struct {
 	dirty Worklist
 	// flipped lists the hosts whose marker the latest Marked changed.
 	flipped []graph.NodeID
-	// Recomputed counts marker recomputations since construction.
-	Recomputed int
 }
 
 // NewIncrementalMarker computes initial markers for g and begins tracking.
@@ -80,7 +78,6 @@ func (im *IncrementalMarker) Marked() []bool {
 			im.flipped = append(im.flipped, v)
 		}
 	}
-	im.Recomputed += len(im.dirty.List())
 	im.dirty.Reset()
 	return im.marked
 }

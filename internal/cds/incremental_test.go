@@ -105,10 +105,8 @@ func TestIncrementalNoEditNoRecompute(t *testing.T) {
 	g := graph.Path(10)
 	im := NewIncrementalMarker(g)
 	im.Marked()
-	before := im.Recomputed
-	im.Marked()
-	if im.Recomputed != before {
-		t.Fatal("read without edits triggered recomputation")
+	if im.PendingDirty() != 0 {
+		t.Fatalf("a read without edits would recompute %d nodes", im.PendingDirty())
 	}
 }
 
@@ -188,10 +186,9 @@ func TestIncrementalBatchingDeduplicates(t *testing.T) {
 	if dirty != 4 {
 		t.Fatalf("dirty = %d, want 4", dirty)
 	}
-	before := im.Recomputed
 	im.Marked()
-	if im.Recomputed-before != 4 {
-		t.Fatalf("recomputed %d nodes, want 4", im.Recomputed-before)
+	if im.PendingDirty() != 0 {
+		t.Fatalf("%d nodes still pending after Marked, want 0", im.PendingDirty())
 	}
 }
 

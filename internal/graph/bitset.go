@@ -12,13 +12,13 @@ package graph
 //	N(v) ⊆ N(u) ∪ N(w) ⇔  bits(v) &^ (bits(u) | bits(w)) == 0
 //
 // The view is opt-in (EnableBitset) because it costs Θ(n²/64) memory; the
-// unit-disk generators enable it through AutoBitset for every instance up
-// to BitsetMaxNodes nodes (see package udg), so the simulator's hot paths
-// get the fast kernels without any call-site changes. Once enabled, the
-// view is kept current incrementally by AddEdge/RemoveEdge, and the
-// backing storage is retained across EnableBitset calls so rebuilding the
-// view for a same-sized graph (the mobility loop's rebuild-every-interval
-// pattern) allocates nothing.
+// unit-disk generators (see package udg) and FromEdgeFunc enable it
+// through AutoBitset for every graph up to BitsetMaxNodes nodes, so the
+// simulator's and cdsd's hot paths get the fast kernels without any
+// call-site changes. Once enabled, the view is kept current incrementally
+// by AddEdge/RemoveEdge and copied by Clone, so it is built once per
+// graph; the backing storage is retained across EnableBitset calls so
+// refreshing the view for a same-sized graph allocates nothing.
 //
 // Set operations dispatch to the bitset path only when the operand degrees
 // exceed a words-per-row threshold; below it the merge scan touches less
@@ -39,15 +39,6 @@ func (b Bitset) set(i NodeID) { b[uint(i)>>6] |= 1 << (uint(i) & 63) }
 // clear clears bit i.
 func (b Bitset) clear(i NodeID) { b[uint(i)>>6] &^= 1 << (uint(i) & 63) }
 
-// Count returns the number of set bits.
-func (b Bitset) Count() int {
-	n := 0
-	for _, w := range b {
-		n += popcount(w)
-	}
-	return n
-}
-
 // popcount is a branch-free 64-bit population count (Hacker's Delight,
 // Fig. 5-2). Spelled out to keep the package dependency-free; math/bits
 // compiles to the same POPCNT instruction when available, but the SWAR form
@@ -60,7 +51,8 @@ func popcount(x uint64) int {
 }
 
 // bitsetAdj is the dense adjacency view: n open-neighborhood rows of
-// `words` 64-bit words each, stored contiguously.
+// `words` 64-bit words each, stored contiguously. Graph holds it by value;
+// nil rows mean the graph has no view.
 type bitsetAdj struct {
 	words int
 	rows  []uint64 // row v occupies rows[v*words : (v+1)*words]
@@ -85,9 +77,11 @@ const BitsetMaxNodes = 4096
 // shares: graphs of at most BitsetMaxNodes nodes, the empty graph
 // included, get the bitset view; larger graphs are left as they are.
 // Builders call it on every path, so a graph takes the same kernel
-// dispatch whichever builder produced it.
+// dispatch whichever builder produced it. A graph that already carries
+// the view is left alone: AddEdge/RemoveEdge keep it current and Clone
+// copies it, so there is nothing to rebuild.
 func (g *Graph) AutoBitset() {
-	if len(g.adj) <= BitsetMaxNodes {
+	if g.bits.rows == nil && len(g.adj) <= BitsetMaxNodes {
 		g.EnableBitset()
 	}
 }
@@ -104,45 +98,32 @@ func (g *Graph) EnableBitset() {
 	n := len(g.adj)
 	words := (n + 63) / 64
 	need := n * words
-	var rows []uint64
-	if g.bits != nil && cap(g.bits.rows) >= need {
-		rows = g.bits.rows[:need]
-		for i := range rows {
-			rows[i] = 0
-		}
+	rows := g.bits.rows
+	if rows != nil && cap(rows) >= need {
+		rows = rows[:need]
+		clear(rows)
 	} else {
 		rows = make([]uint64, need)
 	}
-	b := &bitsetAdj{words: words, rows: rows}
+	g.bits = bitsetAdj{words: words, rows: rows}
 	for v, list := range g.adj {
-		row := b.row(NodeID(v))
+		row := g.bits.row(NodeID(v))
 		for _, u := range list {
 			row.set(u)
 		}
 	}
-	g.bits = b
 }
 
 // DisableBitset drops the dense view (and its storage).
-func (g *Graph) DisableBitset() { g.bits = nil }
+func (g *Graph) DisableBitset() { g.bits = bitsetAdj{} }
 
 // BitsetEnabled reports whether the dense adjacency view is active.
-func (g *Graph) BitsetEnabled() bool { return g.bits != nil }
-
-// NeighborBitset returns N(v) as a bit row, or nil if the view is not
-// enabled. The row aliases internal storage and must not be modified.
-func (g *Graph) NeighborBitset(v NodeID) Bitset {
-	g.check(v)
-	if g.bits == nil {
-		return nil
-	}
-	return g.bits.row(v)
-}
+func (g *Graph) BitsetEnabled() bool { return g.bits.rows != nil }
 
 // closedSubsetBits is ClosedSubset on the dense view. Callers have already
 // established v != u and {v, u} ∈ E (or handled those cases).
 func (g *Graph) closedSubsetBits(v, u NodeID) bool {
-	b := g.bits
+	b := &g.bits
 	nv, nu := b.row(v), b.row(u)
 	wv, mv := int(uint(v)>>6), uint64(1)<<(uint(v)&63)
 	wu, mu := int(uint(u)>>6), uint64(1)<<(uint(u)&63)
@@ -163,7 +144,7 @@ func (g *Graph) closedSubsetBits(v, u NodeID) bool {
 
 // openSubsetOfUnionBits is OpenSubsetOfUnion on the dense view.
 func (g *Graph) openSubsetOfUnionBits(v, u, w NodeID) bool {
-	b := g.bits
+	b := &g.bits
 	nv, nu, nw := b.row(v), b.row(u), b.row(w)
 	for i := 0; i < b.words; i++ {
 		if nv[i]&^(nu[i]|nw[i]) != 0 {
@@ -176,7 +157,7 @@ func (g *Graph) openSubsetOfUnionBits(v, u, w NodeID) bool {
 // hasUnconnectedNeighborsBits is HasUnconnectedNeighbors on the dense view:
 // v is marked iff some neighbor u leaves part of N(v) uncovered by N[u].
 func (g *Graph) hasUnconnectedNeighborsBits(v NodeID) bool {
-	b := g.bits
+	b := &g.bits
 	nv := b.row(v)
 	for _, u := range g.adj[v] {
 		nu := b.row(u)

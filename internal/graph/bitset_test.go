@@ -180,6 +180,28 @@ func TestBitsetEnableReusesStorage(t *testing.T) {
 	}
 }
 
+// TestAutoBitsetBuildsOnce pins that the view is built once: AutoBitset
+// on a graph that already carries it allocates nothing and rebuilds
+// nothing (a bit planted in the rows survives), and a clone keeps the
+// rows Clone copied.
+func TestAutoBitsetBuildsOnce(t *testing.T) {
+	g := Cycle(100)
+	g.AutoBitset()
+	if allocs := testing.AllocsPerRun(10, g.AutoBitset); allocs != 0 {
+		t.Fatalf("AutoBitset on a viewed graph allocates %v, want 0", allocs)
+	}
+	g.bits.row(0).set(50) // not an edge: a rebuild would clear it
+	g.AutoBitset()
+	if !g.bits.row(0).Test(50) {
+		t.Fatal("AutoBitset rebuilt a graph that already had the view")
+	}
+	c := g.Clone()
+	c.AutoBitset()
+	if !c.bits.row(0).Test(50) {
+		t.Fatal("AutoBitset rebuilt the view Clone copied")
+	}
+}
+
 func TestBitsetCloneIndependent(t *testing.T) {
 	g := Cycle(10)
 	g.EnableBitset()
@@ -199,24 +221,31 @@ func TestBitsetCloneIndependent(t *testing.T) {
 func TestBitsetCount(t *testing.T) {
 	g := Star(70)
 	g.EnableBitset()
-	if got := g.NeighborBitset(0).Count(); got != 69 {
+	count := func(v NodeID) int {
+		n := 0
+		for _, w := range g.bits.row(v) {
+			n += popcount(w)
+		}
+		return n
+	}
+	if got := count(0); got != 69 {
 		t.Fatalf("hub Count = %d, want 69", got)
 	}
-	if got := g.NeighborBitset(1).Count(); got != 1 {
+	if got := count(1); got != 1 {
 		t.Fatalf("leaf Count = %d, want 1", got)
 	}
-	if g.NeighborBitset(0).Test(0) {
+	if g.bits.row(0).Test(0) {
 		t.Fatal("self bit set")
 	}
-	if !g.NeighborBitset(0).Test(42) {
+	if !g.bits.row(0).Test(42) {
 		t.Fatal("neighbor bit missing")
 	}
 }
 
 func TestNeighborBitsetNilWhenDisabled(t *testing.T) {
 	g := Path(5)
-	if g.NeighborBitset(2) != nil {
-		t.Fatal("NeighborBitset non-nil without EnableBitset")
+	if g.bits.rows != nil {
+		t.Fatal("bitset rows non-nil without EnableBitset")
 	}
 	g.EnableBitset()
 	g.DisableBitset()

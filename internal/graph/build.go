@@ -50,9 +50,12 @@ func FromSortedAdjacency(adj [][]NodeID) *Graph {
 // AddEdge's idempotence). The first pass counts degrees, the second fills
 // a flat adjacency arena, then each row is sorted and compacted in place.
 // Endpoints must be valid, distinct nodes (panic otherwise, like AddEdge).
+// The graph gets the bitset view under AutoBitset's policy.
 func FromEdgeFunc(n int, visit func(emit func(u, v NodeID))) *Graph {
 	g := New(n)
-	off := make([]int, n+1)
+	// Row offsets and fill cursors share one allocation.
+	idx := make([]int, 2*n+1)
+	off, cursor := idx[:n+1], idx[n+1:]
 	visit(func(u, v NodeID) {
 		g.check(u)
 		g.check(v)
@@ -66,7 +69,6 @@ func FromEdgeFunc(n int, visit func(emit func(u, v NodeID))) *Graph {
 		off[v+1] += off[v]
 	}
 	flat := make([]NodeID, off[n])
-	cursor := make([]int, n)
 	visit(func(u, v NodeID) {
 		flat[off[u]+cursor[u]] = v
 		cursor[u]++
@@ -91,5 +93,6 @@ func FromEdgeFunc(n int, visit func(emit func(u, v NodeID))) *Graph {
 		arcs += k
 	}
 	g.edges = arcs / 2
+	g.AutoBitset()
 	return g
 }

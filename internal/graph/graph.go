@@ -12,6 +12,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -27,9 +28,10 @@ type NodeID = int32
 type Graph struct {
 	adj   [][]NodeID
 	edges int
-	// bits is the optional dense adjacency view (see bitset.go). When
-	// non-nil it mirrors adj exactly: mutating methods keep it current.
-	bits *bitsetAdj
+	// bits is the optional dense adjacency view (see bitset.go). When its
+	// rows are non-nil it mirrors adj exactly: mutating methods keep it
+	// current.
+	bits bitsetAdj
 }
 
 // New returns a graph with n isolated nodes.
@@ -46,11 +48,21 @@ func (g *Graph) NumNodes() int { return len(g.adj) }
 // NumEdges returns the number of undirected edges.
 func (g *Graph) NumEdges() int { return g.edges }
 
-// check panics if v is out of range.
+// check panics if v is out of range. It stays within the inlining
+// budget, so the kernels pay one compare per node id, not a call: the
+// unsigned compare also rejects negative ids, and the panic message is
+// built out of line.
 func (g *Graph) check(v NodeID) {
-	if v < 0 || int(v) >= len(g.adj) {
-		panic(fmt.Sprintf("graph: node %d out of range [0, %d)", v, len(g.adj)))
+	if uint(v) >= uint(len(g.adj)) {
+		outOfRange(v, len(g.adj))
 	}
+}
+
+// outOfRange panics with check's message.
+//
+//go:noinline
+func outOfRange(v NodeID, n int) {
+	panic(fmt.Sprintf("graph: node %d out of range [0, %d)", v, n))
 }
 
 // AddEdge inserts the undirected edge {u, v}. Self loops are rejected.
@@ -64,7 +76,7 @@ func (g *Graph) AddEdge(u, v NodeID) {
 	if g.insertArc(u, v) {
 		g.insertArc(v, u)
 		g.edges++
-		if g.bits != nil {
+		if g.bits.rows != nil {
 			g.bits.row(u).set(v)
 			g.bits.row(v).set(u)
 		}
@@ -96,7 +108,7 @@ func (g *Graph) RemoveEdge(u, v NodeID) bool {
 	}
 	g.removeArc(v, u)
 	g.edges--
-	if g.bits != nil {
+	if g.bits.rows != nil {
 		g.bits.row(u).clear(v)
 		g.bits.row(v).clear(u)
 	}
@@ -120,7 +132,7 @@ func (g *Graph) HasEdge(u, v NodeID) bool {
 	if u == v {
 		return false
 	}
-	if g.bits != nil {
+	if g.bits.rows != nil {
 		return g.bits.row(u).Test(v)
 	}
 	list := g.adj[u]
@@ -147,9 +159,7 @@ func (g *Graph) Clone() *Graph {
 	for v, list := range g.adj {
 		c.adj[v] = append([]NodeID(nil), list...)
 	}
-	if g.bits != nil {
-		c.bits = &bitsetAdj{words: g.bits.words, rows: append([]uint64(nil), g.bits.rows...)}
-	}
+	c.bits = bitsetAdj{words: g.bits.words, rows: slices.Clone(g.bits.rows)}
 	return c
 }
 

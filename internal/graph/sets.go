@@ -33,7 +33,7 @@ func (g *Graph) ClosedSubset(v, u NodeID) bool {
 		return false
 	}
 	nv, nu := g.adj[v], g.adj[u]
-	if g.bits != nil && g.bits.worth(len(nv)+len(nu)) {
+	if g.bits.rows != nil && g.bits.worth(len(nv)+len(nu)) {
 		return g.closedSubsetBits(v, u)
 	}
 	// u ∈ N[v] holds (v adjacent u) and u ∈ N[u] trivially; check remaining.
@@ -74,7 +74,7 @@ func (g *Graph) OpenSubsetOfUnion(v, u, w NodeID) bool {
 	g.check(u)
 	g.check(w)
 	nv, nu, nw := g.adj[v], g.adj[u], g.adj[w]
-	if g.bits != nil && g.bits.worth(len(nv)+len(nu)+len(nw)) {
+	if g.bits.rows != nil && g.bits.worth(len(nv)+len(nu)+len(nw)) {
 		return g.openSubsetOfUnionBits(v, u, w)
 	}
 	j, k := 0, 0
@@ -126,7 +126,7 @@ func (g *Graph) ForEachCommonNeighbor(u, w NodeID, fn func(NodeID)) {
 	g.check(u)
 	g.check(w)
 	nu, nw := g.adj[u], g.adj[w]
-	if g.bits != nil && g.bits.worth(len(nu)+len(nw)) {
+	if g.bits.rows != nil && g.bits.worth(len(nu)+len(nw)) {
 		bu, bw := g.bits.row(u), g.bits.row(w)
 		for i := range bu {
 			x := bu[i] & bw[i]
@@ -163,7 +163,7 @@ func (g *Graph) ForEachCommonNeighbor(u, w NodeID, fn func(NodeID)) {
 func (g *Graph) HasUnconnectedNeighbors(v NodeID) bool {
 	g.check(v)
 	nv := g.adj[v]
-	if g.bits != nil && g.bits.worth(len(nv)) {
+	if g.bits.rows != nil && g.bits.worth(len(nv)) {
 		return g.hasUnconnectedNeighborsBits(v)
 	}
 	for i := 0; i < len(nv); i++ {

@@ -28,10 +28,16 @@ func layoutPositions(layout int, c Config, rng *xrand.RNG) []geom.Point {
 	}
 }
 
-// TestBuildParallelMatchesBuild pins BuildParallel ≡ Build ≡ BuildBrute
-// (graph.Equal plus matching bitset configuration) across worker counts,
-// the sequential-fallback boundary (the empty instance included), and all
-// three placement families.
+// rebuild copies g's edges through graph.FromEdgeFunc, the builder cdsd's
+// request graphs go through.
+func rebuild(g *graph.Graph) *graph.Graph {
+	return graph.FromEdgeFunc(g.NumNodes(), func(emit func(u, v graph.NodeID)) { g.Edges(emit) })
+}
+
+// TestBuildParallelMatchesBuild pins BuildParallel ≡ Build ≡ BuildBrute ≡
+// a graph.FromEdgeFunc rebuild (graph.Equal plus matching bitset
+// configuration) across worker counts, the sequential-fallback boundary
+// (the empty instance included), and all three placement families.
 func TestBuildParallelMatchesBuild(t *testing.T) {
 	rng := xrand.New(77)
 	sizes := []int{0, 1, 50, buildParallelCutoff - 1, buildParallelCutoff, 900, 1500}
@@ -44,6 +50,10 @@ func TestBuildParallelMatchesBuild(t *testing.T) {
 			if !graph.Equal(want, brute) || want.BitsetEnabled() != brute.BitsetEnabled() {
 				t.Fatalf("layout=%d n=%d: BuildBrute != Build (bitset %v vs %v)",
 					layout, n, brute.BitsetEnabled(), want.BitsetEnabled())
+			}
+			if re := rebuild(want); !graph.Equal(want, re) || want.BitsetEnabled() != re.BitsetEnabled() {
+				t.Fatalf("layout=%d n=%d: FromEdgeFunc != Build (bitset %v vs %v)",
+					layout, n, re.BitsetEnabled(), want.BitsetEnabled())
 			}
 			for _, w := range []int{0, 1, 2, 3, 8} {
 				got := BuildParallel(pos, c.Field, c.Radius, w)
@@ -60,7 +70,7 @@ func TestBuildParallelMatchesBuild(t *testing.T) {
 
 // TestBuildParallelLargeSkipsBitset pins the bitset policy above the
 // limit: a >4096-node parallel build must stay on the merge-scan path,
-// like Build.
+// like Build and a FromEdgeFunc rebuild.
 func TestBuildParallelLargeSkipsBitset(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large instance")
@@ -73,6 +83,9 @@ func TestBuildParallelLargeSkipsBitset(t *testing.T) {
 	}
 	if !graph.Equal(g, Build(pos, c.Field, c.Radius)) {
 		t.Fatal("BuildParallel != Build at large n")
+	}
+	if re := rebuild(g); re.BitsetEnabled() || !graph.Equal(g, re) {
+		t.Fatalf("FromEdgeFunc at large n: bitset %v, equal %v", re.BitsetEnabled(), graph.Equal(g, re))
 	}
 }
 
