@@ -83,7 +83,7 @@ func run(args []string, stdout io.Writer) error {
 		if *extended {
 			return fmt.Errorf("-extended is not supported together with -drop/-crash")
 		}
-		return runFaulty(cfg, *trials, *timeseries, stdout)
+		return runFaulty(cfg, *trials, *workers, *timeseries, stdout)
 	}
 
 	if *extended {
@@ -160,7 +160,7 @@ func run(args []string, stdout io.Writer) error {
 // runFaulty executes the lifetime simulation through the hardened
 // fault-tolerant protocol and reports radio-fault costs alongside the
 // usual lifetime metrics.
-func runFaulty(cfg sim.Config, trials int, timeseries string, stdout io.Writer) error {
+func runFaulty(cfg sim.Config, trials, workers int, timeseries string, stdout io.Writer) error {
 	banner := fmt.Sprintf("policy=%v drain=%s n=%d drop=%.2f crash=%d",
 		cfg.Policy, cfg.Drain.Name(), cfg.N, cfg.Drop, cfg.Crashes)
 	if trials <= 1 {
@@ -195,17 +195,26 @@ func runFaulty(cfg sim.Config, trials int, timeseries string, stdout io.Writer) 
 			m.HostCrashes, m.DegradedIntervals)
 		return nil
 	}
+	// Every trial's seeds are drawn in trial order before any runs, so
+	// the output does not depend on the worker count.
 	seedRNG := xrand.New(cfg.Seed)
+	cfgs := make([]sim.Config, trials)
+	for i := range cfgs {
+		cfgs[i] = cfg
+		cfgs[i].Seed = seedRNG.Uint64()
+		cfgs[i].FaultSeed = seedRNG.Uint64()
+	}
+	runs := make([]*sim.DistributedMetrics, trials)
+	err := sim.ForTrials(trials, workers, func(i int) (err error) {
+		runs[i], err = sim.RunDistributed(cfgs[i])
+		return err
+	})
+	if err != nil {
+		return err
+	}
 	var lifetimes, gateways []float64
 	truncated := 0
-	for i := 0; i < trials; i++ {
-		c := cfg
-		c.Seed = seedRNG.Uint64()
-		c.FaultSeed = seedRNG.Uint64()
-		m, err := sim.RunDistributed(c)
-		if err != nil {
-			return err
-		}
+	for _, m := range runs {
 		lifetimes = append(lifetimes, float64(m.Intervals))
 		gateways = append(gateways, m.MeanGateways)
 		if m.Truncated {

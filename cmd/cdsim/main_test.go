@@ -132,6 +132,23 @@ func TestFaultyTrialsRun(t *testing.T) {
 	}
 }
 
+// TestFaultyTrialsWorkersIdentical checks that -workers spreads the
+// hardened trials over the pool without changing a byte of the output.
+func TestFaultyTrialsWorkersIdentical(t *testing.T) {
+	args := []string{"-n", "12", "-policy", "EL2", "-drain", "linear",
+		"-drop", "0.1", "-crash", "1", "-seed", "5", "-trials", "4"}
+	var one, two bytes.Buffer
+	if err := run(append(args, "-workers", "1"), &one); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(append(args, "-workers", "2"), &two); err != nil {
+		t.Fatal(err)
+	}
+	if one.String() != two.String() {
+		t.Fatalf("-workers 1 and -workers 2 differ:\n%s\n---\n%s", one.String(), two.String())
+	}
+}
+
 func TestFaultyTimeseries(t *testing.T) {
 	dir := t.TempDir()
 	path := dir + "/faults.csv"

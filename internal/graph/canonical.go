@@ -1,10 +1,5 @@
 package graph
 
-import (
-	"encoding/binary"
-	"hash/fnv"
-)
-
 // Canonical graph encoding and digests.
 //
 // Two graphs compare Equal exactly when their canonical encodings are
@@ -19,17 +14,30 @@ import (
 // both endpoints delta-encoded as uvarints. Delta encoding keeps the
 // canonical form of a 100-host unit-disk graph around 3 bytes/edge, and
 // the sorted-adjacency invariant of Graph makes producing it a single
-// allocation-free sweep.
+// sweep. Digest hashes the bytes as that sweep produces them, so the
+// encoding itself is never built; canonical_test.go builds it, as the
+// oracle Digest is checked against.
 
 // canonicalMagic versions the canonical encoding.
-var canonicalMagic = []byte("pacds-g1")
+const canonicalMagic = "pacds-g1"
 
-// appendCanonical appends g's canonical encoding to buf and returns the
-// extended slice.
-func appendCanonical(buf []byte, g *Graph) []byte {
-	buf = append(buf, canonicalMagic...)
-	buf = binary.AppendUvarint(buf, uint64(g.NumNodes()))
-	buf = binary.AppendUvarint(buf, uint64(g.NumEdges()))
+// FNV-1a's 64-bit parameters (hash/fnv).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// Digest returns the 64-bit FNV-1a hash of g's canonical encoding — a
+// cheap topology fingerprint suitable for cache keys and dedup maps.
+// Collisions are possible in principle (64-bit hash); callers that cannot
+// tolerate them must compare the graphs with Equal on digest equality.
+func Digest(g *Graph) uint64 {
+	h := uint64(fnvOffset64)
+	for i := 0; i < len(canonicalMagic); i++ {
+		h = (h ^ uint64(canonicalMagic[i])) * fnvPrime64
+	}
+	h = hashUvarint(h, uint64(g.NumNodes()))
+	h = hashUvarint(h, uint64(g.NumEdges()))
 	prevU := NodeID(0)
 	for u, list := range g.adj {
 		uid := NodeID(u)
@@ -38,27 +46,20 @@ func appendCanonical(buf []byte, g *Graph) []byte {
 			if v <= uid {
 				continue // each undirected edge once, as (min, max)
 			}
-			buf = binary.AppendUvarint(buf, uint64(uid-prevU))
-			buf = binary.AppendUvarint(buf, uint64(v-prevV))
+			h = hashUvarint(h, uint64(uid-prevU))
+			h = hashUvarint(h, uint64(v-prevV))
 			prevU, prevV = uid, v
 		}
 	}
-	return buf
+	return h
 }
 
-// Canonical returns the canonical byte encoding of g. Two graphs are
-// Equal iff their canonical encodings are identical.
-func Canonical(g *Graph) []byte {
-	// 8 magic + 2 uvarints + ~3 bytes per edge is the common case.
-	return appendCanonical(make([]byte, 0, 16+len(canonicalMagic)+3*g.NumEdges()), g)
-}
-
-// Digest returns the 64-bit FNV-1a hash of g's canonical encoding — a
-// cheap topology fingerprint suitable for cache keys and dedup maps.
-// Collisions are possible in principle (64-bit hash); callers that cannot
-// tolerate them should compare Canonical encodings on digest equality.
-func Digest(g *Graph) uint64 {
-	h := fnv.New64a()
-	h.Write(Canonical(g))
-	return h.Sum64()
+// hashUvarint folds x's uvarint encoding (binary.AppendUvarint) into the
+// FNV-1a state h.
+func hashUvarint(h, x uint64) uint64 {
+	for x >= 0x80 {
+		h = (h ^ (x&0x7f | 0x80)) * fnvPrime64
+		x >>= 7
+	}
+	return (h ^ x) * fnvPrime64
 }

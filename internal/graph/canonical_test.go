@@ -2,8 +2,86 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
+	"testing/quick"
+
+	"pacds/internal/xrand"
 )
+
+// appendCanonical appends g's canonical encoding (canonical.go) to buf
+// and returns the extended slice. It is the oracle for Digest, which
+// hashes the same bytes without building them.
+func appendCanonical(buf []byte, g *Graph) []byte {
+	buf = append(buf, canonicalMagic...)
+	buf = binary.AppendUvarint(buf, uint64(g.NumNodes()))
+	buf = binary.AppendUvarint(buf, uint64(g.NumEdges()))
+	prevU := NodeID(0)
+	for u, list := range g.adj {
+		uid := NodeID(u)
+		prevV := uid
+		for _, v := range list {
+			if v <= uid {
+				continue // each undirected edge once, as (min, max)
+			}
+			buf = binary.AppendUvarint(buf, uint64(uid-prevU))
+			buf = binary.AppendUvarint(buf, uint64(v-prevV))
+			prevU, prevV = uid, v
+		}
+	}
+	return buf
+}
+
+// Canonical returns the canonical byte encoding of g. Two graphs are
+// Equal iff their canonical encodings are identical.
+func Canonical(g *Graph) []byte {
+	// 8 magic + 2 uvarints + ~3 bytes per edge is the common case.
+	return appendCanonical(make([]byte, 0, 16+len(canonicalMagic)+3*g.NumEdges()), g)
+}
+
+// canonicalFNV is Digest's oracle: FNV-1a over the built encoding.
+func canonicalFNV(g *Graph) uint64 {
+	h := fnv.New64a()
+	h.Write(Canonical(g))
+	return h.Sum64()
+}
+
+// TestDigestMatchesCanonical checks the streamed Digest against FNV-1a
+// of Canonical. The fixed graphs pin the empty graph, isolated nodes, and
+// node counts, ids and deltas of 128 and of 16384 and more, which take
+// two- and three-byte uvarints; the random ones mix all of these.
+func TestDigestMatchesCanonical(t *testing.T) {
+	fixed := map[string]*Graph{
+		"empty0":                   New(0),
+		"isolated1":                New(1),
+		"isolated300":              New(300),
+		"deltas>=128":              FromEdges(200, [][2]NodeID{{0, 199}, {5, 150}, {140, 141}}),
+		"ids>=16384":               FromEdges(20000, [][2]NodeID{{3, 16500}, {16500, 19999}}),
+		"path":                     Path(130),
+		"complete":                 Complete(20),
+		"isolated around one edge": FromEdges(500, [][2]NodeID{{499, 0}}),
+	}
+	for name, g := range fixed {
+		if got, want := Digest(g), canonicalFNV(g); got != want {
+			t.Errorf("%s: Digest = %016x, FNV-1a of Canonical = %016x", name, got, want)
+		}
+	}
+	check := func(seed uint64) bool {
+		rng := xrand.New(seed)
+		n := []int{0, 1, 2, 7, 130, 300, 20000}[rng.Intn(7)]
+		g := New(n)
+		for k := rng.Intn(min(3*n, 600) + 1); n > 1 && k > 0; k-- {
+			if u, v := NodeID(rng.Intn(n)), NodeID(rng.Intn(n)); u != v {
+				g.AddEdge(u, v)
+			}
+		}
+		return Digest(g) == canonicalFNV(g)
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
 
 func TestCanonicalEqualGraphsAgree(t *testing.T) {
 	// Same edge set inserted in different orders must canonicalize

@@ -20,13 +20,15 @@ import (
 type GraphSpec struct {
 	Nodes int      `json:"nodes"`
 	Edges [][2]int `json:"edges"`
+	// flat is the request scanner's form of an edge list whose every
+	// endpoint is in [0, Nodes) and whose edges are loop-free:
+	// u0,v0,u1,v1,… The scanner leaves Edges nil when it sets flat.
+	flat []int32
 }
 
-// build validates the spec and constructs the graph. maxNodes guards the
-// service against memory-exhaustion requests. Construction goes through
-// graph.FromEdgeFunc — one flat adjacency arena instead of a growing
-// slice per node — which is where most of the request path's allocations
-// used to come from.
+// build validates the spec and constructs the graph with one call into
+// graph.FromFlatEdges, which lays the edges out in one flat adjacency
+// arena. maxNodes guards the service against memory-exhaustion requests.
 func (s GraphSpec) build(maxNodes int) (*graph.Graph, error) {
 	if s.Nodes < 0 {
 		return nil, fmt.Errorf("nodes must be non-negative, got %d", s.Nodes)
@@ -34,6 +36,21 @@ func (s GraphSpec) build(maxNodes int) (*graph.Graph, error) {
 	if maxNodes > 0 && s.Nodes > maxNodes {
 		return nil, fmt.Errorf("nodes %d exceeds the service limit %d", s.Nodes, maxNodes)
 	}
+	flat, err := s.edgeList()
+	if err != nil {
+		return nil, err
+	}
+	return graph.FromFlatEdges(s.Nodes, flat), nil
+}
+
+// edgeList returns the spec's edges flat: the scanner's list as it is,
+// or Edges, which encoding/json and Go callers fill, checked and
+// flattened. The first bad edge is the error.
+func (s GraphSpec) edgeList() ([]int32, error) {
+	if s.Edges == nil {
+		return s.flat, nil
+	}
+	flat := make([]int32, 0, 2*len(s.Edges))
 	for i, e := range s.Edges {
 		u, v := e[0], e[1]
 		if u < 0 || u >= s.Nodes || v < 0 || v >= s.Nodes {
@@ -42,13 +59,9 @@ func (s GraphSpec) build(maxNodes int) (*graph.Graph, error) {
 		if u == v {
 			return nil, fmt.Errorf("edge %d: self loop %d-%d", i, u, v)
 		}
+		flat = append(flat, int32(u), int32(v))
 	}
-	g := graph.FromEdgeFunc(s.Nodes, func(emit func(u, v graph.NodeID)) {
-		for _, e := range s.Edges {
-			emit(graph.NodeID(e[0]), graph.NodeID(e[1]))
-		}
-	})
-	return g, nil
+	return flat, nil
 }
 
 // CrashSpec schedules one host failure in a fault scenario.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -192,16 +193,81 @@ func (s *scanner) graphPolicyEnergy() (g GraphSpec, policy string, energy []floa
 	return g, policy, energy
 }
 
-// graph reads {"nodes":N,"edges":E}. The edge list is sized from the
-// body's bytes, never from N, which build checks afterwards.
+// graph reads {"nodes":N,"edges":E}. For 0 <= N <= MaxInt32, edges reads
+// the list, flat when it can. For any other N, and for a list edges
+// cannot keep flat, the list lands in Edges as encoding/json decodes it,
+// and build reports what is wrong.
 func (s *scanner) graph() GraphSpec {
 	var g GraphSpec
 	s.expect(`{"nodes":`)
 	g.Nodes = s.int()
 	s.expect(`,"edges":`)
-	g.Edges = scanList(s, edgeCount(s.rest()), s.pair)
+	if 0 <= g.Nodes && g.Nodes <= math.MaxInt32 {
+		g.flat, g.Edges = s.edges(int32(g.Nodes))
+	} else {
+		g.Edges = scanList(s, edgeCount(s.rest()), s.pair)
+	}
 	s.need('}')
 	return g
+}
+
+// edges reads an edge list of a graph of n nodes. While every edge is
+// [u,v] with u and v plain decimal integers in [0, n) and u != v, one
+// loop over the bytes writes it to flat, u0,v0,u1,v1,…, and build takes
+// that list as it is. At the first edge that is anything else the loop
+// stops, and scanElems reads the list from that edge on as scanList
+// would: the list comes back as pairs, the flat prefix included, for
+// build to reject. Both are sized from the body's bytes, never from n.
+func (s *scanner) edges(n int32) (flat []int32, pairs [][2]int) {
+	if s.lit("null") {
+		return nil, nil
+	}
+	if s.need('['); !s.ok {
+		return nil, nil
+	}
+	flat = make([]int32, 0, 2*edgeCount(s.rest()))
+	if s.char(']') {
+		return flat, nil
+	}
+	b, i := s.b, s.i
+	for {
+		e := i // the edge's '[', where scanElems takes over
+		if i == len(b) || b[i] != '[' {
+			break
+		}
+		i++
+		// A run of more than ten digits is no node id, and is rejected
+		// whatever value it wrapped to.
+		u, d := int64(0), i
+		for ; i < len(b) && b[i]-'0' <= 9; i++ {
+			u = u*10 + int64(b[i]-'0')
+		}
+		if i == d || i-d > 10 || i-d > 1 && b[d] == '0' || u >= int64(n) || i == len(b) || b[i] != ',' {
+			i = e
+			break
+		}
+		i++
+		v, d := int64(0), i
+		for ; i < len(b) && b[i]-'0' <= 9; i++ {
+			v = v*10 + int64(b[i]-'0')
+		}
+		if i == d || i-d > 10 || i-d > 1 && b[d] == '0' || v >= int64(n) || v == u ||
+			len(b)-i < 2 || b[i] != ']' || b[i+1] != ',' && b[i+1] != ']' {
+			i = e
+			break
+		}
+		flat = append(flat, int32(u), int32(v))
+		if i += 2; b[i-1] == ']' {
+			s.i = i
+			return flat, nil
+		}
+	}
+	s.i = i
+	pairs = make([][2]int, len(flat)/2, len(flat)/2+edgeCount(s.rest()))
+	for k := range pairs {
+		pairs[k] = [2]int{int(flat[2*k]), int(flat[2*k+1])}
+	}
+	return nil, scanElems(s, pairs, s.pair)
 }
 
 // pair reads one edge: exactly two plain integers. encoding/json pads
@@ -231,6 +297,12 @@ func scanList[T any](s *scanner, size int, elem func() T) []T {
 	if s.char(']') {
 		return out
 	}
+	return scanElems(s, out, elem)
+}
+
+// scanElems reads the rest of a non-empty list, elem values separated by
+// commas up to the closing bracket, and appends them to out.
+func scanElems[T any](s *scanner, out []T, elem func() T) []T {
 	for s.ok {
 		out = append(out, elem())
 		if s.char(']') {

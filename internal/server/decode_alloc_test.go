@@ -19,7 +19,11 @@ import (
 // canonical body costs once the body pool is warm: the request value
 // (the fallback would decode into it through an interface), its slices
 // and the policy string, nothing per edge or per number. encoding/json
-// makes about 45 allocations for the compute body.
+// makes about 45 allocations for the compute body. maxBuilt pins the
+// same read and decode followed by GraphSpec.build, and for compute by
+// cacheKey too, which is all a handler runs before its first span: the
+// graph, its row headers, offsets, arena and bitset view, and the key
+// string, again nothing per edge.
 func TestDecodeAllocationContracts(t *testing.T) {
 	inst := randomInstance(t, 150, 1)
 	spec := specFor(inst.Graph)
@@ -32,23 +36,27 @@ func TestDecodeAllocationContracts(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := []struct {
-		name   string
-		req    any
-		decode func(*http.Request) error
-		max    float64
+		name          string
+		req           any
+		decode        func(*http.Request) (GraphSpec, error)
+		max, maxBuilt float64
+		key           bool
 	}{
-		{"compute N=150 EL1", ComputeRequest{Graph: spec, Policy: "EL1", Energy: energy}, func(r *http.Request) error {
+		{"compute N=150 EL1", ComputeRequest{Graph: spec, Policy: "EL1", Energy: energy}, func(r *http.Request) (GraphSpec, error) {
 			var req ComputeRequest
-			return decodeFast(r, &req, scanCompute)
-		}, 4},
-		{"verify N=150", VerifyRequest{Graph: spec, Gateways: boolsToIDs(res.Gateway)}, func(r *http.Request) error {
+			err := decodeFast(r, &req, scanCompute)
+			return req.Graph, err
+		}, 4, 10, true},
+		{"verify N=150", VerifyRequest{Graph: spec, Gateways: boolsToIDs(res.Gateway)}, func(r *http.Request) (GraphSpec, error) {
 			var req VerifyRequest
-			return decodeFast(r, &req, scanVerify)
-		}, 3},
-		{"session create N=150 EL2", SessionCreateRequest{Graph: spec, Policy: "EL2", Energy: energy}, func(r *http.Request) error {
+			err := decodeFast(r, &req, scanVerify)
+			return req.Graph, err
+		}, 3, 8, false},
+		{"session create N=150 EL2", SessionCreateRequest{Graph: spec, Policy: "EL2", Energy: energy}, func(r *http.Request) (GraphSpec, error) {
 			var req SessionCreateRequest
-			return decodeFast(r, &req, scanSessionCreate)
-		}, 4},
+			err := decodeFast(r, &req, scanSessionCreate)
+			return req.Graph, err
+		}, 4, 9, false},
 	}
 	for _, tc := range cases {
 		body, err := json.Marshal(tc.req)
@@ -59,12 +67,29 @@ func TestDecodeAllocationContracts(t *testing.T) {
 		r := &http.Request{Body: io.NopCloser(rd)}
 		allocs := testing.AllocsPerRun(50, func() {
 			rd.Reset(body)
-			if err := tc.decode(r); err != nil {
+			if _, err := tc.decode(r); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if allocs > tc.max {
 			t.Errorf("%s: decoding a %d-byte body allocates %v times, want <= %v", tc.name, len(body), allocs, tc.max)
+		}
+		built := testing.AllocsPerRun(50, func() {
+			rd.Reset(body)
+			spec, err := tc.decode(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := spec.build(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.key {
+				cacheKey(g, cds.EL1, energy, 1)
+			}
+		})
+		if built > tc.maxBuilt {
+			t.Errorf("%s: decoding a %d-byte body and building its graph allocates %v times, want <= %v", tc.name, len(body), built, tc.maxBuilt)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -19,8 +20,11 @@ import (
 // exactDiff returns the path of the first difference between a and b,
 // or "" when they are identical. Unlike reflect.DeepEqual it tells a nil
 // slice from an empty one and compares floats by their bits, so -0 and
-// +0 differ.
+// +0 differ. GraphSpecs compare by specDiff.
 func exactDiff(path string, a, b reflect.Value) string {
+	if a.Type() == reflect.TypeFor[GraphSpec]() {
+		return specDiff(path, a.Interface().(GraphSpec), b.Interface().(GraphSpec))
+	}
 	switch a.Kind() {
 	case reflect.Float64:
 		if math.Float64bits(a.Float()) != math.Float64bits(b.Float()) {
@@ -56,6 +60,53 @@ func exactDiff(path string, a, b reflect.Value) string {
 		}
 	}
 	return ""
+}
+
+// specDiff compares two GraphSpecs whichever form holds their edges:
+// the scanner keeps a valid list flat, encoding/json fills Edges. Nodes
+// compare exactly and the edges pair by pair, so a nil list and an empty
+// one are the same graph. A flat list must also be what build trusts it
+// to be: the only list, every endpoint a node, no self loop.
+func specDiff(path string, a, b GraphSpec) string {
+	if a.Nodes != b.Nodes {
+		return path + ".Nodes"
+	}
+	for _, g := range []GraphSpec{a, b} {
+		if g.flat == nil {
+			continue
+		}
+		if g.Edges != nil || len(g.flat)%2 != 0 {
+			return path + ".flat"
+		}
+		for k := 0; k < len(g.flat); k += 2 {
+			u, v := int(g.flat[k]), int(g.flat[k+1])
+			if u < 0 || u >= g.Nodes || v < 0 || v >= g.Nodes || u == v {
+				return fmt.Sprintf("%s.flat[%d]", path, k/2)
+			}
+		}
+	}
+	pa, pb := specPairs(a), specPairs(b)
+	if len(pa) != len(pb) {
+		return path + ".Edges"
+	}
+	for i := range pa {
+		if pa[i] != pb[i] {
+			return fmt.Sprintf("%s.Edges[%d]", path, i)
+		}
+	}
+	return ""
+}
+
+// specPairs returns a spec's edges as pairs, whichever form holds them.
+func specPairs(g GraphSpec) [][2]int {
+	if g.Edges != nil {
+		return g.Edges
+	}
+	pairs := make([][2]int, len(g.flat)/2)
+	for i := range pairs {
+		pairs[i] = [2]int{int(g.flat[2*i]), int(g.flat[2*i+1])}
+	}
+	return pairs
 }
 
 // checkFast asserts the fast-path contract on one body: when scan
@@ -180,6 +231,7 @@ var fallbackBodies = []string{
 	`{"graph":{"nodes":2.0,"edges":[[0,1]]},"policy":"ID"}`,
 	`{"graph":{"nodes":2e0,"edges":[[0,1]]},"policy":"ID"}`,
 	`{"graph":{"nodes":1000000000000000000,"edges":[[0,1]]},"policy":"ID"}`,
+	`{"graph":{"nodes":3,"edges":[[0,18446744073709551617]]},"policy":"ID"}`,
 	`{"graph":{"nodes":02,"edges":[[0,1]]},"policy":"ID"}`,
 	`{"graph":{"nodes":-,"edges":[[0,1]]},"policy":"ID"}`,
 	`{"graph":{"nodes":2,"edges":[[0,1.0]]},"policy":"ID"}`,
@@ -276,6 +328,58 @@ func TestFastDecodeDeclinesNonCanonicalBodies(t *testing.T) {
 	}
 }
 
+// TestScanEdgeForms pins the form the scanner keeps an edge list in: a
+// list build can take as it is stays flat, and any other lands in Edges
+// as encoding/json decodes it, so build reports the same first error.
+func TestScanEdgeForms(t *testing.T) {
+	for _, tc := range []struct{ graph, form string }{
+		{`{"nodes":3,"edges":[[0,1],[1,2]]}`, "flat"},
+		{`{"nodes":3,"edges":[[2,1],[0,1],[0,1]]}`, "flat"},
+		{`{"nodes":3,"edges":[]}`, "flat"},
+		{`{"nodes":2147483647,"edges":[[2147483646,0]]}`, "flat"},
+		{`{"nodes":3,"edges":null}`, "none"},
+		{`{"nodes":3,"edges":[[0,1],[1,3]]}`, "pairs"},
+		{`{"nodes":3,"edges":[[0,1],[-1,2]]}`, "pairs"},
+		{`{"nodes":3,"edges":[[0,1],[2,2],[0,5]]}`, "pairs"},
+		{`{"nodes":3,"edges":[[0,10000000000]]}`, "pairs"},
+		{`{"nodes":3,"edges":[[0,1],[999999999999999999,1]]}`, "pairs"},
+		{`{"nodes":2147483648,"edges":[[0,1]]}`, "pairs"},
+		{`{"nodes":-1,"edges":[[0,1]]}`, "pairs"},
+		{`{"nodes":0,"edges":[[0,1]]}`, "pairs"},
+	} {
+		body := []byte(`{"graph":` + tc.graph + `,"policy":"ID"}`)
+		if !checkFast(t, body, scanCompute) {
+			t.Errorf("scanCompute declines %s", body)
+			continue
+		}
+		got, _ := scanCompute(body)
+		form := "none"
+		switch {
+		case got.Graph.flat != nil:
+			form = "flat"
+		case got.Graph.Edges != nil:
+			form = "pairs"
+		}
+		if form != tc.form {
+			t.Errorf("%s: edges kept as %s, want %s", tc.graph, form, tc.form)
+		}
+		var want ComputeRequest
+		if err := decodeBody(body, &want); err != nil {
+			t.Fatal(err)
+		}
+		for _, maxNodes := range []int{100, 1 << 20} {
+			if maxNodes > 100 && got.Graph.Nodes > maxNodes {
+				continue
+			}
+			_, gotErr := got.Graph.build(maxNodes)
+			_, wantErr := want.Graph.build(maxNodes)
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Errorf("%s, limit %d: build error %v, reference %v", tc.graph, maxNodes, gotErr, wantErr)
+			}
+		}
+	}
+}
+
 // TestFastPathMatchesFallbackEndToEnd sends each canonical body twice,
 // as is and behind a leading space that forces the encoding/json path:
 // status and response bytes must agree, errors included.
@@ -289,6 +393,15 @@ func TestFastPathMatchesFallbackEndToEnd(t *testing.T) {
 	for i := range energy {
 		energy[i] = float64(10 * (i%7 + 1))
 	}
+	// The same graph with a repeated edge, with its edges in descending
+	// order, and with every pair written [v,u], v > u.
+	repeated := GraphSpec{Nodes: spec.Nodes, Edges: append(slices.Clone(spec.Edges), spec.Edges[3], spec.Edges[0])}
+	descending := GraphSpec{Nodes: spec.Nodes, Edges: slices.Clone(spec.Edges)}
+	slices.Reverse(descending.Edges)
+	swapped := GraphSpec{Nodes: spec.Nodes}
+	for _, e := range spec.Edges {
+		swapped.Edges = append(swapped.Edges, [2]int{e[1], e[0]})
+	}
 	cases := []struct {
 		path string
 		req  any
@@ -301,6 +414,17 @@ func TestFastPathMatchesFallbackEndToEnd(t *testing.T) {
 		{"/v1/verify", VerifyRequest{Graph: spec, Gateways: []int{0, 1, 2}}},
 		{"/v1/verify", VerifyRequest{Graph: spec, Gateways: []int{31}}},
 		{"/v1/sessions", SessionCreateRequest{Graph: GraphSpec{Nodes: 3, Edges: [][2]int{{1, 1}}}, Policy: "ID"}},
+		// Edge lists the scanner keeps as pairs, for build to reject.
+		{"/v1/compute", ComputeRequest{Graph: GraphSpec{Nodes: 4, Edges: [][2]int{{0, 1}, {2, 4}, {1, 2}}}, Policy: "ND"}},
+		{"/v1/compute", ComputeRequest{Graph: GraphSpec{Nodes: 4, Edges: [][2]int{{0, 1}, {-1, 2}}}, Policy: "ND"}},
+		{"/v1/verify", VerifyRequest{Graph: GraphSpec{Nodes: 4, Edges: [][2]int{{0, 1}, {2, 2}}}, Gateways: []int{0}}},
+		{"/v1/compute", ComputeRequest{Graph: GraphSpec{Nodes: math.MaxInt32 + 1, Edges: [][2]int{{0, 1}}}, Policy: "ID"}},
+		{"/v1/sessions", SessionCreateRequest{Graph: GraphSpec{Nodes: math.MaxInt32 + 1, Edges: [][2]int{{0, 1}}}, Policy: "ID"}},
+		// Valid lists out of canonical order, which the build sorts.
+		{"/v1/compute", ComputeRequest{Graph: repeated, Policy: "ND", IncludeMarked: true}},
+		{"/v1/compute", ComputeRequest{Graph: descending, Policy: "ID"}},
+		{"/v1/verify", VerifyRequest{Graph: swapped, Gateways: []int{0, 1, 2}}},
+		{"/v1/compute", ComputeRequest{Graph: swapped, Policy: "EL1", Energy: energy}},
 	}
 	send := func(path string, body []byte) (int, string) {
 		rr := httptest.NewRecorder()

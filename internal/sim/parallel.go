@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -20,12 +21,6 @@ func RunTrialsParallel(cfg Config, trials, workers int) (*TrialStats, error) {
 	if trials <= 0 {
 		return nil, fmt.Errorf("sim: trials must be positive, got %d", trials)
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > trials {
-		workers = trials
-	}
 
 	// Per-trial seeds: a single seed stream read in order.
 	seedRNG := xrand.New(cfg.Seed)
@@ -34,68 +29,72 @@ func RunTrialsParallel(cfg Config, trials, workers int) (*TrialStats, error) {
 		seeds[i] = seedRNG.Uint64()
 	}
 
-	type result struct {
-		idx int
-		m   *Metrics
-		err error
+	runs := make([]*Metrics, trials)
+	err := ForTrials(trials, workers, func(i int) (err error) {
+		c := cfg
+		c.Seed = seeds[i]
+		runs[i], err = Run(c)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	work := make(chan int)
-	results := make(chan result)
+	stats := &TrialStats{Trials: trials}
+	for _, m := range runs {
+		stats.Lifetime = append(stats.Lifetime, float64(m.Intervals))
+		stats.MeanGateways = append(stats.MeanGateways, m.MeanGateways)
+		if m.Truncated {
+			stats.TruncatedRuns++
+		}
+	}
+	return stats, nil
+}
+
+// ForTrials runs run(i) for every trial index i in [0, trials) on a pool
+// of workers goroutines (workers <= 0 selects GOMAXPROCS) and returns the
+// error of the lowest-index trial that failed, or nil. After a failure
+// the trials above it are skipped, while every trial below it still
+// runs, so the error returned is the same at any worker count. run must
+// write only state owned by its index.
+func ForTrials(trials, workers int, run func(i int) error) error {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, trials)
+	errs := make([]error, trials)
+	// Workers claim indices in ascending order. failed is the lowest
+	// failed index so far: a trial claimed below it must still run, even
+	// when a trial above it failed first.
+	var next, failed atomic.Int64
+	failed.Store(math.MaxInt64)
+	fail := func(i int64) {
+		for f := failed.Load(); i < f; f = failed.Load() {
+			if failed.CompareAndSwap(f, i) {
+				return
+			}
+		}
+	}
 	var wg sync.WaitGroup
-	// Once a trial fails the call returns an error, so later trials are
-	// skipped; with one worker that stops at the first failure.
-	var failed atomic.Bool
-	for w := 0; w < workers; w++ {
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range work {
-				if failed.Load() {
-					continue
+			for {
+				i := next.Add(1) - 1
+				if i >= int64(trials) || i > failed.Load() {
+					return
 				}
-				c := cfg
-				c.Seed = seeds[i]
-				m, err := Run(c)
-				if err != nil {
-					failed.Store(true)
+				if errs[i] = run(int(i)); errs[i] != nil {
+					fail(i)
 				}
-				results <- result{idx: i, m: m, err: err}
 			}
 		}()
 	}
-	go func() {
-		for i := 0; i < trials; i++ {
-			work <- i
-		}
-		close(work)
-		wg.Wait()
-		close(results)
-	}()
-
-	lifetimes := make([]float64, trials)
-	gateways := make([]float64, trials)
-	truncated := 0
-	var firstErr error
-	for r := range results {
-		if r.err != nil {
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			continue
-		}
-		lifetimes[r.idx] = float64(r.m.Intervals)
-		gateways[r.idx] = r.m.MeanGateways
-		if r.m.Truncated {
-			truncated++
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return &TrialStats{
-		Trials:        trials,
-		Lifetime:      lifetimes,
-		MeanGateways:  gateways,
-		TruncatedRuns: truncated,
-	}, nil
+	return nil
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"pacds/internal/cds"
@@ -77,6 +79,33 @@ func TestParallelResultsAreOrdered(t *testing.T) {
 	for i := range a.Lifetime {
 		if a.Lifetime[i] != b.Lifetime[i] {
 			t.Fatalf("worker count changed per-trial results at %d", i)
+		}
+	}
+}
+
+// TestForTrialsLowestFailure pins ForTrials' error contract: the
+// lowest-index failure wins at every worker count, every trial below it
+// runs, and one worker stops at the first failure.
+func TestForTrialsLowestFailure(t *testing.T) {
+	for _, workers := range []int{1, 2, 4, 0} {
+		var ran [10]atomic.Bool
+		err := ForTrials(len(ran), workers, func(i int) error {
+			ran[i].Store(true)
+			if i == 3 || i == 6 {
+				return fmt.Errorf("trial %d failed", i)
+			}
+			return nil
+		})
+		if err == nil || err.Error() != "trial 3 failed" {
+			t.Fatalf("workers=%d: err = %v, want trial 3's", workers, err)
+		}
+		for i := range ran {
+			if i <= 3 && !ran[i].Load() {
+				t.Fatalf("workers=%d: trial %d below the failure was skipped", workers, i)
+			}
+			if workers == 1 && i > 3 && ran[i].Load() {
+				t.Fatalf("workers=1: trial %d ran after trial 3 failed", i)
+			}
 		}
 	}
 }
