@@ -8,44 +8,12 @@ import (
 // Bulk constructors. AddEdge keeps the sorted-adjacency invariant one
 // insertion at a time, which costs O(deg) per edge and one append-growth
 // allocation chain per node — fine for incremental mutation, wasteful for
-// the two bulk cases the system actually has: a server request carrying a
-// complete edge list, and a parallel unit-disk build that computes whole
-// neighbor rows at once. The constructors below lay the adjacency out in
-// a single flat backing array and fix the row order once, so building a
+// the bulk cases the system actually has: a server request carrying a
+// complete edge list, and a unit-disk build that lists every edge of a
+// deployment at once. The constructors below lay the adjacency out in a
+// single flat backing array and fix the row order once, so building a
 // 100k-node graph is two passes over the edges instead of 100k growing
 // slices. FromFlatEdges and FromEdgeFunc share one CSR core (csr below).
-
-// FromSortedAdjacency adopts pre-built adjacency rows without copying.
-// Each row must be strictly ascending, self-loop free, and in range, and
-// the rows must be symmetric (u ∈ adj[v] ⇔ v ∈ adj[u]); the cheap
-// per-row invariants are verified (panic on violation), symmetry is the
-// caller's contract. Rows may share a backing array, but then each row's
-// capacity must equal its length so a later AddEdge reallocates instead
-// of clobbering its neighbor row.
-func FromSortedAdjacency(adj [][]NodeID) *Graph {
-	n := NodeID(len(adj))
-	arcs := 0
-	for v, row := range adj {
-		prev := NodeID(-1)
-		for _, u := range row {
-			if u < 0 || u >= n {
-				panic("graph: FromSortedAdjacency neighbor out of range")
-			}
-			if u == NodeID(v) {
-				panic("graph: FromSortedAdjacency self loop")
-			}
-			if u <= prev {
-				panic("graph: FromSortedAdjacency row not strictly ascending")
-			}
-			prev = u
-		}
-		arcs += len(row)
-	}
-	if arcs%2 != 0 {
-		panic("graph: FromSortedAdjacency asymmetric adjacency")
-	}
-	return &Graph{adj: adj, edges: arcs / 2}
-}
 
 // FromFlatEdges builds a graph over n nodes from a flat edge list
 // u0, v0, u1, v1, …: the pairs may come in any order, a repeated edge is

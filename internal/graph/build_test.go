@@ -145,37 +145,6 @@ func TestFromEdgeFuncAddEdgeAfter(t *testing.T) {
 	}
 }
 
-func TestFromSortedAdjacency(t *testing.T) {
-	g := FromSortedAdjacency([][]NodeID{
-		{1, 2},
-		{0},
-		{0, 3},
-		{2},
-	})
-	want := FromEdges(4, [][2]NodeID{{0, 1}, {0, 2}, {2, 3}})
-	if !Equal(g, want) {
-		t.Fatal("FromSortedAdjacency mismatch")
-	}
-	if g.NumEdges() != 3 {
-		t.Fatalf("edges = %d, want 3", g.NumEdges())
-	}
-
-	mustPanic := func(name string, adj [][]NodeID) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: no panic", name)
-			}
-		}()
-		FromSortedAdjacency(adj)
-	}
-	mustPanic("unsorted row", [][]NodeID{{2, 1}, {0}, {0}})
-	mustPanic("duplicate neighbor", [][]NodeID{{1, 1}, {0, 0}})
-	mustPanic("self loop", [][]NodeID{{0}})
-	mustPanic("out of range", [][]NodeID{{5}})
-	mustPanic("odd arc count", [][]NodeID{{1}, {}})
-}
-
 // TestFromEdgeFuncAllocations pins FromEdgeFunc's allocation count, which
 // every cdsd compute, verify and session create pays: a fixed handful per
 // graph whatever its size, never a per-host cost from sorting the rows.

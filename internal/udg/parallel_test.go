@@ -6,6 +6,7 @@ import (
 
 	"pacds/internal/geom"
 	"pacds/internal/graph"
+	"pacds/internal/par"
 	"pacds/internal/xrand"
 )
 
@@ -36,11 +37,13 @@ func rebuild(g *graph.Graph) *graph.Graph {
 
 // TestBuildParallelMatchesBuild pins BuildParallel ≡ Build ≡ BuildBrute ≡
 // a graph.FromEdgeFunc rebuild (graph.Equal plus matching bitset
-// configuration) across worker counts, the sequential-fallback boundary
-// (the empty instance included), and all three placement families.
+// configuration) across worker counts, sizes on either side of one and
+// two par.Block-sized blocks (the empty instance included), and all
+// three placement families. Every multi-worker call above one block
+// joins per-block edge lists.
 func TestBuildParallelMatchesBuild(t *testing.T) {
 	rng := xrand.New(77)
-	sizes := []int{0, 1, 50, buildParallelCutoff - 1, buildParallelCutoff, 900, 1500}
+	sizes := []int{0, 1, 50, par.Block - 1, par.Block, par.Block + 1, 2*par.Block - 1, 2 * par.Block, 2*par.Block + 1, 900, 1500}
 	for layout := 0; layout < 3; layout++ {
 		for _, n := range sizes {
 			c := Config{N: n, Field: geom.Square(60 + rng.Float64()*240), Radius: 5 + rng.Float64()*30}

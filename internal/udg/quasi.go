@@ -54,36 +54,19 @@ func (c QuasiConfig) Validate() error {
 
 // BuildQuasi constructs a quasi-UDG over the positions: pairs within RMin
 // always link, pairs within (RMin, RMax] link with probability PZone, and
-// farther pairs never link. The grid index prunes candidates by RMax.
+// farther pairs never link. The grid index prunes candidates by RMax, so
+// every pair the link test sees is within RMax, and the test draws from
+// rng once for each such pair beyond RMin.
 func BuildQuasi(positions []geom.Point, c QuasiConfig, rng *xrand.RNG) *graph.Graph {
-	g := graph.New(len(positions))
-	if len(positions) == 0 {
-		g.AutoBitset()
-		return g
+	n := len(positions)
+	if n == 0 {
+		return graph.FromFlatEdges(0, nil)
 	}
 	grid := geom.NewGrid(positions, c.Field, c.RMax)
 	rMin2 := c.RMin * c.RMin
-	rMax2 := c.RMax * c.RMax
-	buf := make([]int, 0, 64)
-	for v := range positions {
-		buf = grid.Neighbors(v, buf[:0])
-		for _, u := range buf {
-			if u <= v {
-				continue // one decision per unordered pair
-			}
-			d2 := positions[v].Dist2(positions[u])
-			switch {
-			case d2 <= rMin2:
-				g.AddEdge(graph.NodeID(v), graph.NodeID(u))
-			case d2 <= rMax2:
-				if rng.Float64() < c.PZone {
-					g.AddEdge(graph.NodeID(v), graph.NodeID(u))
-				}
-			}
-		}
-	}
-	g.AutoBitset()
-	return g
+	return graph.FromFlatEdges(n, listEdges(grid, n, 0, n, func(v, u int) bool {
+		return positions[v].Dist2(positions[u]) <= rMin2 || rng.Float64() < c.PZone
+	}))
 }
 
 // RandomQuasi generates a quasi-UDG instance with uniform placement.

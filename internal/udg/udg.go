@@ -10,6 +10,7 @@ package udg
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"pacds/internal/geom"
 	"pacds/internal/graph"
@@ -60,43 +61,52 @@ func RandomPositions(c Config, rng *xrand.RNG) []geom.Point {
 // Distance comparison is inclusive: d(u,v) <= radius links u and v.
 // The graph gets the bitset adjacency view under graph.AutoBitset's
 // policy, so the marking/pruning kernels downstream run word-parallel.
+// Build is BuildParallel at one worker.
 func Build(positions []geom.Point, field geom.Rect, radius float64) *graph.Graph {
-	g := graph.New(len(positions))
-	if len(positions) == 0 {
-		g.AutoBitset()
-		return g
-	}
-	grid := geom.NewGrid(positions, field, radius)
-	buf := make([]int, 0, 64)
-	for v := range positions {
-		buf = grid.Neighbors(v, buf[:0])
-		for _, u := range buf {
-			if u > v {
-				g.AddEdge(graph.NodeID(v), graph.NodeID(u))
-			}
-		}
-	}
-	g.AutoBitset()
-	return g
+	return BuildParallel(positions, field, radius, 1)
 }
 
-// BuildBrute is the O(N^2) reference construction, used to validate Build
-// and BuildParallel. It applies the same bitset policy as Build
-// (graph.AutoBitset) so differential tests compare identically-configured
-// graphs and downstream kernels take the same dispatch path regardless of
-// which constructor produced the graph.
-func BuildBrute(positions []geom.Point, radius float64) *graph.Graph {
-	g := graph.New(len(positions))
-	r2 := radius * radius
-	for v := range positions {
-		for u := v + 1; u < len(positions); u++ {
-			if positions[v].Dist2(positions[u]) <= r2 {
-				g.AddEdge(graph.NodeID(v), graph.NodeID(u))
+// listEdges is the one pass behind every unit-disk builder. It queries
+// the grid once for each host v in [lo, hi) of n and lists each
+// neighbour u > v that keep admits as the pair v, u. keep, when not nil,
+// sees the candidates in the grid's visiting order, which is the order
+// BuildQuasi draws its coins in. The kept neighbours are then sorted, so
+// the list is in graph.FromFlatEdges' canonical order and the build sorts
+// no row.
+func listEdges(grid *geom.Grid, n, lo, hi int, keep func(v, u int) bool) []graph.NodeID {
+	// Room for one neighbour a host; when that fills, the list grows to
+	// the length listLen projects from the hosts queried by then.
+	list := make([]graph.NodeID, 0, 2*(hi-lo))
+	buf := make([]int, 0, 64)
+	arcs := 0 // neighbours of the hosts queried so far, kept or not
+	for v := lo; v < hi; v++ {
+		buf = grid.Neighbors(v, buf[:0])
+		arcs += len(buf)
+		kept := buf[:0]
+		for _, u := range buf {
+			if u > v && (keep == nil || keep(v, u)) {
+				kept = append(kept, u)
 			}
 		}
+		slices.Sort(kept)
+		if len(list)+2*len(kept) > cap(list) {
+			list = slices.Grow(list, max(2*len(kept), listLen(arcs, v-lo+1, n, lo, hi)-len(list)))
+		}
+		for _, u := range kept {
+			list = append(list, graph.NodeID(v), graph.NodeID(u))
+		}
 	}
-	g.AutoBitset()
-	return g
+	return list
+}
+
+// listLen projects the length of listEdges' list for hosts [lo, hi) of n
+// from arcs, the neighbour count of the range's first seen hosts, with
+// 1/16 headroom. Host ids are placed at random, so host w lists on
+// average the share (n-1-w)/(n-1) of its neighbours that lie above it,
+// two entries each; over all n hosts that is the mean degree times n.
+func listLen(arcs, seen, n, lo, hi int) int {
+	mean := float64(arcs) / float64(seen)
+	return int(mean * float64(hi-lo) * float64(2*n-1-lo-hi) / float64(n-1) * 17 / 16)
 }
 
 // Instance is a generated network: host positions plus the induced

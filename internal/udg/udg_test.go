@@ -1,6 +1,8 @@
 package udg
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"pacds/internal/geom"
@@ -174,11 +176,50 @@ func BenchmarkBuildGrid100(b *testing.B) {
 	}
 }
 
+// BenchmarkBuild times the unit-disk build at the root
+// BenchmarkComputePipeline's sizes and density (field side 10√N, radius
+// 25: about 20 neighbours a host), at one and two workers.
+func BenchmarkBuild(b *testing.B) {
+	for _, n := range []int{10_000, 100_000} {
+		c := Config{N: n, Field: geom.Square(10 * math.Sqrt(float64(n))), Radius: 25}
+		pos := RandomPositions(c, xrand.New(uint64(n)))
+		for _, w := range []int{1, 2} {
+			b.Run(fmt.Sprintf("N=%d/workers=%d", n, w), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					BuildParallel(pos, c.Field, c.Radius, w)
+				}
+			})
+		}
+	}
+}
+
 func BenchmarkBuildBrute100(b *testing.B) {
 	cfg := PaperConfig(100)
 	pos := RandomPositions(cfg, xrand.New(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = BuildBrute(pos, cfg.Radius)
+	}
+}
+
+// TestBuildAllocations pins Build's allocation count at the paper's N=100
+// and at N=10⁴ in a field of side 10√N: 71 and 6,183, or one more under
+// the race detector, whose instrumented build has slices.Grow allocate
+// its zeroed extension separately. Most of them are the grid's per-cell
+// slices; the edge list, the CSR arena and the graph take a handful.
+func TestBuildAllocations(t *testing.T) {
+	for _, tc := range []struct {
+		c    Config
+		want float64
+	}{
+		{PaperConfig(100), 72},
+		{Config{N: 10_000, Field: geom.Square(1000), Radius: 25}, 6184},
+	} {
+		pos := RandomPositions(tc.c, xrand.New(1))
+		got := testing.AllocsPerRun(5, func() { Build(pos, tc.c.Field, tc.c.Radius) })
+		if got > tc.want {
+			t.Errorf("N=%d: Build allocates %v per call, want <= %v", tc.c.N, got, tc.want)
+		}
 	}
 }
