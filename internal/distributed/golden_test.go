@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"pacds/internal/cds"
+	"pacds/internal/geom"
 	"pacds/internal/graph"
 	"pacds/internal/mobility"
 	"pacds/internal/udg"
@@ -18,7 +19,8 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/golden.txt from the current code")
 
 // goldenSessionLines drives a Session through a seeded history for every
-// policy on the tiny graphs and on paper-density instances, and prints
+// policy on the tiny graphs, on paper-density instances and on a dense
+// and a sparse field, and prints
 // the session's observable state after bootstrap and after every batch
 // or energy refresh: epoch, the marker count ApplyChanges returns, the
 // frontier size, the gateway set and every Stats field.
@@ -28,7 +30,7 @@ func goldenSessionLines(t *testing.T) []string {
 	for pi, p := range cds.Policies {
 		for _, g := range []*graph.Graph{graph.New(1), graph.Path(2), graph.Complete(3)} {
 			name := fmt.Sprintf("tiny%d/%v", g.NumNodes(), p)
-			lines = append(lines, sessionHistory(t, name, p, g, nil, xrand.Mix(uint64(g.NumNodes()), uint64(pi)))...)
+			lines = append(lines, sessionHistory(t, name, p, g, nil, xrand.Mix(uint64(g.NumNodes()), uint64(pi)), nil)...)
 		}
 		for _, n := range []int{30, 100} {
 			inst, err := udg.RandomConnected(udg.PaperConfig(n), xrand.New(uint64(n)), 2000)
@@ -36,18 +38,78 @@ func goldenSessionLines(t *testing.T) []string {
 				t.Fatal(err)
 			}
 			name := fmt.Sprintf("n=%d/%v", n, p)
-			lines = append(lines, sessionHistory(t, name, p, inst.Graph, inst, xrand.Mix(uint64(n), uint64(pi)))...)
+			lines = append(lines, sessionHistory(t, name, p, inst.Graph, inst, xrand.Mix(uint64(n), uint64(pi)), nil)...)
+		}
+		// A dense field whose hosts cross 64 neighbours in both
+		// directions, and a sparse one with isolated and degree-1 hosts.
+		for _, c := range []struct {
+			name string
+			cfg  udg.Config
+			seed uint64
+			want func(w degreeWatch) bool
+		}{
+			{"dense150", udg.Config{N: 150, Field: geom.Square(60), Radius: 25}, 1,
+				func(w degreeWatch) bool { return w.above > 0 && w.up > 0 && w.down > 0 }},
+			{"sparse40", udg.Config{N: 40, Field: geom.Square(100), Radius: 15}, 3,
+				func(w degreeWatch) bool { return w.isolated > 0 && w.leaves > 0 }},
+		} {
+			inst, err := udg.Random(c.cfg, xrand.New(c.seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("%s/%v", c.name, p)
+			var w degreeWatch
+			lines = append(lines, sessionHistory(t, name, p, inst.Graph, inst, xrand.Mix(c.seed, uint64(pi)), &w)...)
+			if !c.want(w) {
+				t.Fatalf("%s: history misses the degrees it is meant to cover: %d isolated, %d degree-1, %d above 64, %d crossings up, %d down",
+					name, w.isolated, w.leaves, w.above, w.up, w.down)
+			}
 		}
 	}
 	return lines
+}
+
+// degreeWatch tallies the host degrees a session history passes
+// through: hosts seen at degree 0, at degree 1 and above 64, and how
+// often a host's degree crossed 64 upwards or downwards between records.
+type degreeWatch struct {
+	prev                              []int
+	isolated, leaves, above, up, down int
+}
+
+// observe records g's degrees.
+func (w *degreeWatch) observe(g *graph.Graph) {
+	first := w.prev == nil
+	if first {
+		w.prev = make([]int, g.NumNodes())
+	}
+	for v := 0; v < g.NumNodes(); v++ {
+		d := g.Degree(graph.NodeID(v))
+		switch {
+		case d == 0:
+			w.isolated++
+		case d == 1:
+			w.leaves++
+		case d > 64:
+			w.above++
+		}
+		if !first && w.prev[v] <= 64 && d > 64 {
+			w.up++
+		}
+		if !first && w.prev[v] > 64 && d <= 64 {
+			w.down++
+		}
+		w.prev[v] = d
+	}
 }
 
 // sessionHistory runs one seeded history: mobility batches (random link
 // toggles when inst is nil), an energy refresh that changes no level and
 // refreshes that change some, an empty batch, a batch of an up for an
 // existing link and a down for a missing one, and a batch that takes one
-// link down and back up. inst, when set, is moved in place.
-func sessionHistory(t *testing.T, name string, p cds.Policy, g *graph.Graph, inst *udg.Instance, seed uint64) []string {
+// link down and back up. inst, when set, is moved in place; watch, when
+// set, observes the session's degrees at every record.
+func sessionHistory(t *testing.T, name string, p cds.Policy, g *graph.Graph, inst *udg.Instance, seed uint64, watch *degreeWatch) []string {
 	t.Helper()
 	rng := xrand.New(seed)
 	n := g.NumNodes()
@@ -69,6 +131,9 @@ func sessionHistory(t *testing.T, name string, p cds.Policy, g *graph.Graph, ins
 		}
 		lines = append(lines, fmt.Sprintf("%s %s epoch=%d frontier=%d gateways=%v %+v",
 			name, op, s.Epoch(), s.LastFrontier(), gw, s.Stats()))
+		if watch != nil {
+			watch.observe(s.g)
+		}
 	}
 	batch := func(op string, changes []EdgeChange) {
 		changed, err := s.ApplyChanges(changes)
