@@ -22,6 +22,7 @@ import (
 	"pacds/internal/faults"
 	"pacds/internal/geom"
 	"pacds/internal/graph"
+	"pacds/internal/mobility"
 	"pacds/internal/obs"
 	"pacds/internal/routing"
 	"pacds/internal/server"
@@ -611,6 +612,53 @@ func toggleCycle(g *graph.Graph, numBatches, batchLinks int, seed uint64) [][]di
 	return batches
 }
 
+// mobilityCycle returns a closed loop of mobility batches on inst: in
+// each of steps forward batches a share of the hosts take one paper
+// mobility step and the link diff is the batch; the inverse batches
+// follow in reverse order, so cycling the loop replays the same states.
+// inst is left as it was.
+func mobilityCycle(inst *udg.Instance, steps int, share float64, seed uint64) [][]distributed.EdgeChange {
+	rng := xrand.New(seed)
+	n := inst.Config.N
+	pos := append([]geom.Point(nil), inst.Positions...)
+	cur := inst.Graph
+	model := mobility.NewPaper()
+	var loop [][]distributed.EdgeChange
+	for s := 0; s < steps; s++ {
+		movers := rng.Perm(n)[:max(1, int(share*float64(n)))]
+		moved := make([]geom.Point, len(movers))
+		for i, v := range movers {
+			moved[i] = pos[v]
+		}
+		model.Step(moved, inst.Config.Field, rng)
+		for i, v := range movers {
+			pos[v] = moved[i]
+		}
+		next := udg.Build(pos, inst.Config.Field, inst.Config.Radius)
+		var batch []distributed.EdgeChange
+		cur.Edges(func(u, v NodeID) {
+			if !next.HasEdge(u, v) {
+				batch = append(batch, distributed.EdgeChange{A: u, B: v})
+			}
+		})
+		next.Edges(func(u, v NodeID) {
+			if !cur.HasEdge(u, v) {
+				batch = append(batch, distributed.EdgeChange{A: u, B: v, Up: true})
+			}
+		})
+		loop = append(loop, batch)
+		cur = next
+	}
+	for i := steps - 1; i >= 0; i-- {
+		inv := make([]distributed.EdgeChange, len(loop[i]))
+		for j, ch := range loop[i] {
+			inv[j] = distributed.EdgeChange{A: ch.A, B: ch.B, Up: !ch.Up}
+		}
+		loop = append(loop, inv)
+	}
+	return loop
+}
+
 // BenchmarkSessionApplyChanges quantifies the headline claim of the
 // streaming-session subsystem: maintaining a CDS across link churn with
 // the paper's Section 2.2 localized updates — localized traffic AND a
@@ -620,6 +668,12 @@ func toggleCycle(g *graph.Graph, numBatches, batchLinks int, seed uint64) [][]di
 // batches on a dense 300-host topology; "maintained" applies each batch
 // to one long-lived session, "scratch" rebuilds a fresh session from the
 // mutated graph. Headline numbers land in BENCH_PR8.json and README.md.
+//
+// Three more rows time a maintained session at the sizes perfbench's
+// sessions workload runs: at paper density (r=25 on a 10√N-wide field)
+// and N=3000, a 1% mobility batch under ND and an EL2 energy refresh
+// that draws every level anew; and "dense", the 8-link toggle stream on
+// N=300 hosts in an 80×80 field, whose mean degree is above 64.
 func BenchmarkSessionApplyChanges(b *testing.B) {
 	const (
 		n          = 300
@@ -661,6 +715,73 @@ func BenchmarkSessionApplyChanges(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	})
+	paper3000 := func(b *testing.B) *udg.Instance {
+		cfg := udg.Config{N: 3000, Field: geom.Square(10 * math.Sqrt(3000)), Radius: 25}
+		inst, err := udg.Random(cfg, xrand.New(25))
+		if err != nil {
+			b.Fatal(err)
+		}
+		return inst
+	}
+	b.Run("N=3000/mobility", func(b *testing.B) {
+		inst := paper3000(b)
+		loop := mobilityCycle(inst, 8, 0.01, 26)
+		sess, err := distributed.NewSession(inst.Graph, cds.ND, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := sess.ApplyChanges(loop[i%len(loop)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("N=3000/energy-EL2", func(b *testing.B) {
+		inst := paper3000(b)
+		rng := xrand.New(27)
+		var levels [2][]float64
+		for k := range levels {
+			levels[k] = make([]float64, inst.Config.N)
+			for v := range levels[k] {
+				levels[k][v] = float64(rng.IntRange(1, 100))
+			}
+		}
+		sess, err := distributed.NewSession(inst.Graph, cds.EL2, levels[1])
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := sess.UpdateEnergy(levels[i%2]); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := sess.ApplyChanges(nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("dense", func(b *testing.B) {
+		inst, err := udg.Random(udg.Config{N: n, Field: geom.Square(80), Radius: 25}, xrand.New(28))
+		if err != nil {
+			b.Fatal(err)
+		}
+		dense := toggleCycle(inst.Graph, numBatches, batchLinks, 29)
+		sess, err := distributed.NewSession(inst.Graph, cds.ND, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := sess.ApplyChanges(dense[i%numBatches]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(inst.Graph.AverageDegree(), "mean-degree")
 	})
 }
 

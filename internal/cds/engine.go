@@ -33,12 +33,14 @@ import (
 // The order closes over the graph's degrees and the energy slice, so
 // in-place updates to either are visible to later evaluations. Rule 2's
 // ID-or-priority form is chosen once, by Bind. NR binds no rules: nothing
-// fires.
+// fires. Rules an IncrementalMarker binds read its neighborhood masks
+// (masks.go) for every host that keeps them.
 type Rules struct {
 	g     *graph.Graph
 	less  Less
 	rule2 slotRule
 	k     *ruleKScratch // set only by ApplyRuleK
+	m     *masks        // set only by IncrementalMarker.Bind
 }
 
 // slotRule names a slot predicate.

@@ -15,34 +15,70 @@ import "pacds/internal/graph"
 // — the endpoints (whose neighbor sets changed) and their common neighbors
 // (for whom the pair (a, b) inside their neighborhood changed
 // connectivity). IncrementalMarker maintains markers under edge updates,
-// recomputing only that affected set. Rule application remains a separate
-// (cheap) pass over the marked snapshot.
+// recomputing only that affected set, from neighborhood masks it keeps
+// current (masks.go). Rule application remains a separate pass over the
+// marked snapshot; Bind hands out rules that read the same masks.
 type IncrementalMarker struct {
 	g      *graph.Graph
 	marked []bool
+	masks  masks
 	// dirty collects the hosts whose marker must be recomputed before the
 	// next read, deduplicated across batched edge updates.
 	dirty Worklist
+	// stale collects the endpoints of the toggles since the last read:
+	// their neighbor lists changed, so their masks are rebuilt, not
+	// patched.
+	stale Worklist
 	// flipped lists the hosts whose marker the latest Marked changed.
 	flipped []graph.NodeID
 }
 
 // NewIncrementalMarker computes initial markers for g and begins tracking.
 // The marker keeps a reference to g; apply all subsequent topology changes
-// through AddEdge/RemoveEdge so markers stay consistent.
+// through AddEdge/RemoveEdge so markers stay consistent. Building the masks
+// costs Σ deg² work; a host with more than 64 neighbors gives g its dense
+// view (graph.AutoBitset).
 func NewIncrementalMarker(g *graph.Graph) *IncrementalMarker {
-	im := &IncrementalMarker{g: g, marked: Mark(g)}
-	im.dirty.Init(g.NumNodes())
+	n := g.NumNodes()
+	im := &IncrementalMarker{g: g, marked: make([]bool, n)}
+	im.masks.init(g)
+	for v := range im.marked {
+		im.marked[v] = im.masks.mark(graph.NodeID(v))
+	}
+	im.dirty.Init(n)
+	im.stale.Init(n)
 	return im
 }
 
-// noteAffected marks the affected set of edge {a, b} dirty. Toggling
-// {a, b} does not change N(a) ∩ N(b), so the set is the same whether it
-// is read before or after the toggle.
-func (im *IncrementalMarker) noteAffected(a, b graph.NodeID) {
+// Bind binds the policy's rules to the marker's graph, like the package
+// Bind, with the slots of hosts that have 1 to 64 neighbors decided from
+// the marker's masks. The rules read the masks as the latest Marked left
+// them, so run them only after Marked has absorbed every toggle.
+func (im *IncrementalMarker) Bind(p Policy, energy []float64) (Rules, error) {
+	r, err := Bind(im.g, p, energy)
+	if err != nil {
+		return Rules{}, err
+	}
+	r.m = &im.masks
+	return r, nil
+}
+
+// noteAffected marks the affected set of edge {a, b} dirty, queues the
+// endpoints' masks for a rebuild and patches the masks of the common
+// neighbors that are not endpoints themselves. Toggling {a, b} does not
+// change N(a) ∩ N(b), so the set is the same whether it is read before or
+// after the toggle.
+func (im *IncrementalMarker) noteAffected(a, b graph.NodeID, up bool) {
 	im.dirty.Add(a)
 	im.dirty.Add(b)
-	im.g.ForEachCommonNeighbor(a, b, im.dirty.Add)
+	im.stale.Add(a)
+	im.stale.Add(b)
+	im.g.ForEachCommonNeighbor(a, b, func(c graph.NodeID) {
+		im.dirty.Add(c)
+		if !im.stale.Has(c) {
+			im.masks.patch(c, a, b, up)
+		}
+	})
 }
 
 // AddEdge inserts {a, b} into the underlying graph and marks the affected
@@ -53,7 +89,7 @@ func (im *IncrementalMarker) AddEdge(a, b graph.NodeID) bool {
 		return false
 	}
 	im.g.AddEdge(a, b)
-	im.noteAffected(a, b)
+	im.noteAffected(a, b, true)
 	return true
 }
 
@@ -63,7 +99,7 @@ func (im *IncrementalMarker) RemoveEdge(a, b graph.NodeID) bool {
 	if !im.g.RemoveEdge(a, b) {
 		return false
 	}
-	im.noteAffected(a, b)
+	im.noteAffected(a, b, false)
 	return true
 }
 
@@ -71,9 +107,13 @@ func (im *IncrementalMarker) RemoveEdge(a, b graph.NodeID) bool {
 // first. The returned slice aliases internal state; callers must not
 // modify it.
 func (im *IncrementalMarker) Marked() []bool {
+	for _, v := range im.stale.List() {
+		im.masks.build(v)
+	}
+	im.stale.Reset()
 	im.flipped = im.flipped[:0]
 	for _, v := range im.dirty.List() {
-		if m := im.g.HasUnconnectedNeighbors(v); m != im.marked[v] {
+		if m := im.masks.mark(v); m != im.marked[v] {
 			im.marked[v] = m
 			im.flipped = append(im.flipped, v)
 		}

@@ -27,6 +27,9 @@ func statusAt(before, after []bool, v, u graph.NodeID) bool {
 // some gateway neighbor u with less(v, u) has N[v] ⊆ N[u]. The rule is
 // stated on G', so the covering node u must currently be a gateway.
 func (r *Rules) rule1(before, after []bool, v graph.NodeID) bool {
+	if rows := r.m.of(v); rows != nil {
+		return r.rule1Masks(before, after, v, rows)
+	}
 	g, less := r.g, r.less
 	for _, u := range g.Neighbors(v) {
 		if statusAt(before, after, v, u) && less(v, u) && g.ClosedSubset(v, u) {
@@ -41,6 +44,9 @@ func (r *Rules) rule1(before, after []bool, v graph.NodeID) bool {
 // of the three. The min-ID guard skips every neighbor below v, so only
 // before values are ever read.
 func (r *Rules) rule2ID(before []bool, v graph.NodeID) bool {
+	if rows := r.m.of(v); rows != nil {
+		return r.rule2IDMasks(before, v, rows)
+	}
 	g := r.g
 	nb := g.Neighbors(v)
 	for i := 0; i < len(nb); i++ {
@@ -66,9 +72,13 @@ func (r *Rules) rule2ID(before []bool, v graph.NodeID) bool {
 }
 
 // rule2Priority reports whether v's slot fires under the Rule 2a/2b/2b'
-// template: some pair of gateway neighbors passes rule2Covered.
+// template: some pair of gateway neighbors covers N(v) and passes
+// rule2Covered.
 func (r *Rules) rule2Priority(before, after []bool, v graph.NodeID) bool {
-	g, less := r.g, r.less
+	if rows := r.m.of(v); rows != nil {
+		return r.rule2PriorityMasks(before, after, v, rows)
+	}
+	g := r.g
 	nb := g.Neighbors(v)
 	for i := 0; i < len(nb); i++ {
 		u := nb[i]
@@ -80,7 +90,7 @@ func (r *Rules) rule2Priority(before, after []bool, v graph.NodeID) bool {
 			if !statusAt(before, after, v, w) {
 				continue
 			}
-			if rule2Covered(g, v, u, w, less) {
+			if g.OpenSubsetOfUnion(v, u, w) && r.rule2Covered(v, u, w) {
 				return true
 			}
 		}
@@ -89,9 +99,9 @@ func (r *Rules) rule2Priority(before, after []bool, v graph.NodeID) bool {
 }
 
 // rule2Covered reports whether marked node v may unmark itself given the
-// marked neighbor pair {u, w}, per the three-case analysis shared by Rules
-// 2a, 2b and 2b' (with the priority order supplying the nd/el/id
-// comparisons):
+// marked neighbor pair {u, w} that covers it, N(v) ⊆ N(u) ∪ N(w), per the
+// three-case analysis shared by Rules 2a, 2b and 2b' (with the priority
+// order supplying the nd/el/id comparisons):
 //
 //	case 1: v covered by (u,w); neither u nor w covered by the other two
 //	        → unmark v unconditionally.
@@ -106,20 +116,26 @@ func (r *Rules) rule2Priority(before, after []bool, v graph.NodeID) bool {
 // "nd(v) < nd(u) and nd(v) < nd(w)", "nd(v) = nd(u) < nd(w) and
 // id(v) < id(u)", "all equal and id(v) minimal") are exactly "v is the
 // strict lexicographic minimum", which is what the Less order computes.
-func rule2Covered(g *graph.Graph, v, u, w graph.NodeID, less Less) bool {
-	if !g.OpenSubsetOfUnion(v, u, w) {
-		return false
-	}
-	cu := g.OpenSubsetOfUnion(u, v, w)
-	cw := g.OpenSubsetOfUnion(w, u, v)
+//
+// Read by the priority order, the cases need a coverage test only for a
+// coverer that v does not precede: if v precedes both u and w every case
+// unmarks v; if it precedes u alone, cases 1 and 2 with x = u do, so w
+// must not be covered (and symmetrically); if it precedes neither, only
+// case 1 does.
+//
+// The cover makes u and w adjacent: u ∈ N(v) but u ∉ N(u), so u ∈ N(w).
+// Each of u and w therefore has the other two among its neighbors, and
+// their own cover tests can read their masks.
+func (r *Rules) rule2Covered(v, u, w graph.NodeID) bool {
+	vu, vw := r.less(v, u), r.less(v, w)
 	switch {
-	case !cu && !cw: // case 1
+	case vu && vw:
 		return true
-	case cu && !cw: // case 2 with x = u
-		return less(v, u)
-	case !cu && cw: // case 2 with x = w
-		return less(v, w)
-	default: // case 3
-		return less(v, u) && less(v, w)
+	case vu:
+		return !r.openSubsetOfUnion(w, u, v)
+	case vw:
+		return !r.openSubsetOfUnion(u, v, w)
+	default:
+		return !r.openSubsetOfUnion(u, v, w) && !r.openSubsetOfUnion(w, u, v)
 	}
 }

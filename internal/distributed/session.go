@@ -57,8 +57,8 @@ type Session struct {
 	epoch uint64
 	stats Stats
 
-	marker    *cds.IncrementalMarker // m(v), maintained over g
-	rules     cds.Rules              // policy rules bound to g and energyArr
+	marker    *cds.IncrementalMarker // m(v) and the neighborhood masks, maintained over g
+	rules     cds.Rules              // policy rules bound to the marker's masks and energyArr
 	energyArr []float64              // mutated in place, never reallocated (rules' priority order closes over it)
 	gw1       []bool                 // statuses after the latest Rule-1 sweep
 	gw2       []bool                 // final statuses
@@ -95,9 +95,9 @@ func NewSession(g *graph.Graph, p cds.Policy, energy []float64) (*Session, error
 		gw1:       make([]bool, n),
 		gw2:       make([]bool, n),
 	}
-	s.g.AutoBitset()
 	copy(s.energyArr, energy)
-	rules, err := cds.Bind(s.g, p, s.energyArr)
+	s.marker = cds.NewIncrementalMarker(s.g)
+	rules, err := s.marker.Bind(p, s.energyArr)
 	if err != nil {
 		return nil, err
 	}
@@ -110,7 +110,6 @@ func NewSession(g *graph.Graph, p cds.Policy, energy []float64) (*Session, error
 
 	// Bootstrap phases (as in Run), one round each: every host sends
 	// Hello, then its NeighborList, then its marker in a Status.
-	s.marker = cds.NewIncrementalMarker(s.g)
 	marked := s.marker.Marked()
 	for v := 0; v < n; v++ {
 		id := graph.NodeID(v)

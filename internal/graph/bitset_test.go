@@ -182,8 +182,8 @@ func TestBitsetEnableReusesStorage(t *testing.T) {
 
 // TestAutoBitsetBuildsOnce pins that the view is built once: AutoBitset
 // on a graph that already carries it allocates nothing and rebuilds
-// nothing (a bit planted in the rows survives), and a clone keeps the
-// rows Clone copied.
+// nothing (a bit planted in the rows survives), and a clone carries no
+// view until AutoBitset builds one from the clone's rows.
 func TestAutoBitsetBuildsOnce(t *testing.T) {
 	g := Cycle(100)
 	g.AutoBitset()
@@ -196,9 +196,12 @@ func TestAutoBitsetBuildsOnce(t *testing.T) {
 		t.Fatal("AutoBitset rebuilt a graph that already had the view")
 	}
 	c := g.Clone()
+	if c.BitsetEnabled() {
+		t.Fatal("Clone copied the bitset view")
+	}
 	c.AutoBitset()
-	if !c.bits.row(0).Test(50) {
-		t.Fatal("AutoBitset rebuilt the view Clone copied")
+	if !c.BitsetEnabled() || c.bits.row(0).Test(50) || !c.bits.row(0).Test(1) {
+		t.Fatal("AutoBitset did not build the clone's view from its rows")
 	}
 }
 
@@ -206,11 +209,12 @@ func TestBitsetCloneIndependent(t *testing.T) {
 	g := Cycle(10)
 	g.EnableBitset()
 	c := g.Clone()
-	if !c.BitsetEnabled() {
-		t.Fatal("clone dropped the bitset view")
+	if c.BitsetEnabled() {
+		t.Fatal("clone copied the bitset view")
 	}
+	c.EnableBitset()
 	c.RemoveEdge(0, 1)
-	if !g.HasEdge(0, 1) {
+	if !g.HasEdge(0, 1) || !g.bits.row(0).Test(1) {
 		t.Fatal("clone mutation leaked into original")
 	}
 	if c.HasEdge(0, 1) {

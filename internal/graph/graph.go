@@ -12,7 +12,6 @@ package graph
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 )
 
@@ -153,7 +152,8 @@ func (g *Graph) Degree(v NodeID) int {
 	return len(g.adj[v])
 }
 
-// Clone returns a deep copy of g, including the bitset view if enabled.
+// Clone returns a deep copy of g's adjacency. It copies no bitset view:
+// a caller that wants one calls AutoBitset or EnableBitset on the copy.
 // The rows share one arena. Each row is capped at its length plus a
 // headroom (cloneHeadroom), so a row that AddEdge grows past its cap
 // reallocates rather than overwriting the next one.
@@ -174,7 +174,6 @@ func (g *Graph) Clone() *Graph {
 			arena = arena[end:]
 		}
 	}
-	c.bits = bitsetAdj{words: g.bits.words, rows: slices.Clone(g.bits.rows)}
 	return c
 }
 

@@ -14,9 +14,10 @@ import (
 // Request decoding (DESIGN §8). Every body-carrying endpoint reads its
 // body once, in full, into a pooled buffer. The three bodies that carry a
 // GraphSpec — ComputeRequest, VerifyRequest and SessionCreateRequest —
-// first go through a scanner that accepts only the canonical shape, the
-// exact bytes json.Marshal writes for them, which is what Client, loadgen
-// and perfbench send. Every other body, and every body of the other
+// and a session's delta batch, SessionChangesRequest, first go through a
+// scanner that accepts only the canonical shape, the exact bytes
+// json.Marshal writes for them, which is what Client, loadgen and
+// perfbench send. Every other body, and every body of the other
 // endpoints, is decoded by encoding/json in decodeBody, which is also the
 // reference the scanner is tested against.
 
@@ -130,6 +131,47 @@ func scanSessionCreate(body []byte) (SessionCreateRequest, bool) {
 	return req, s.end()
 }
 
+// scanSessionChanges reads a canonical SessionChangesRequest:
+//
+//	{["changes":[{"a":A,"b":B,"up":U},…]][,"energy":[…]]}
+//
+// where json.Marshal leaves out either field when it is empty.
+func scanSessionChanges(body []byte) (SessionChangesRequest, bool) {
+	s := scanner{b: body, ok: true}
+	var req SessionChangesRequest
+	s.need('{')
+	if s.lit(`"changes":`) {
+		req.Changes = scanList(&s, changeCount(s.rest()), s.change)
+		if s.lit(`,"energy":`) {
+			req.Energy = s.floats()
+		}
+	} else if s.lit(`"energy":`) {
+		req.Energy = s.floats()
+	}
+	return req, s.end()
+}
+
+// change reads one link event, {"a":A,"b":B,"up":U}.
+func (s *scanner) change() SessionEdgeChange {
+	var ch SessionEdgeChange
+	s.expect(`{"a":`)
+	ch.A = s.int()
+	s.expect(`,"b":`)
+	ch.B = s.int()
+	s.expect(`,"up":`)
+	if ch.Up = s.lit("true"); !ch.Up {
+		s.expect("false")
+	}
+	s.need('}')
+	return ch
+}
+
+// changeCount bounds the link events of a list starting at rest: its '{'
+// bytes, and no more than one per 23 bytes ({"a":0,"b":0,"up":true}).
+func changeCount(rest []byte) int {
+	return min(bytes.Count(rest, []byte{'{'}), len(rest)/23+1)
+}
+
 // scanner reads one body left to right. Each method consumes exactly the
 // bytes the canonical shape has next; on anything else — whitespace, an
 // escape, a non-ASCII byte, another key, another number form — it clears
@@ -188,7 +230,7 @@ func (s *scanner) graphPolicyEnergy() (g GraphSpec, policy string, energy []floa
 	s.expect(`,"policy":`)
 	policy = s.str()
 	if s.lit(`,"energy":`) {
-		energy = scanList(s, numCount(s.rest()), s.float)
+		energy = s.floats()
 	}
 	return g, policy, energy
 }
@@ -377,6 +419,59 @@ func (s *scanner) int() int {
 		return -v
 	}
 	return v
+}
+
+// floats reads a number list as scanList(s, …, s.float) would, in one
+// loop over the bytes: an element that is a plain integer of at most 15
+// digits, which a float64 holds exactly, is converted where it stands,
+// and any other element goes through float.
+func (s *scanner) floats() []float64 {
+	if s.lit("null") {
+		return nil
+	}
+	if s.need('['); !s.ok {
+		return nil
+	}
+	out := make([]float64, 0, numCount(s.rest()))
+	if s.char(']') {
+		return out
+	}
+	b, i := s.b, s.i
+	for {
+		j := i
+		if j < len(b) && b[j] == '-' {
+			j++
+		}
+		v, d := 0, j
+		for ; j < len(b) && b[j]-'0' <= 9; j++ {
+			v = v*10 + int(b[j]-'0')
+		}
+		if j == d || j-d > 15 || j-d > 1 && b[d] == '0' || j == len(b) || b[j] != ',' && b[j] != ']' {
+			s.i = i
+			f := s.float()
+			if !s.ok {
+				return nil
+			}
+			out = append(out, f)
+			j = s.i
+		} else {
+			f := float64(v)
+			if b[i] == '-' {
+				f = -f // negating the float keeps -0 negative
+			}
+			out = append(out, f)
+		}
+		switch {
+		case j < len(b) && b[j] == ']':
+			s.i = j + 1
+			return out
+		case j < len(b) && b[j] == ',':
+			i = j + 1
+		default:
+			s.i, s.ok = j, false
+			return nil
+		}
+	}
 }
 
 // float reads a JSON number with the bits encoding/json gives it,

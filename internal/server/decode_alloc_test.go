@@ -93,3 +93,33 @@ func TestDecodeAllocationContracts(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeSessionChangesAllocations pins the same for a canonical delta
+// batch, a mobility batch plus a full energy refresh: the request value,
+// its change and energy slices, and nothing per change or per number.
+// encoding/json makes about 30 allocations for it.
+func TestDecodeSessionChangesAllocations(t *testing.T) {
+	req := SessionChangesRequest{Energy: make([]float64, 300)}
+	for i := range req.Energy {
+		req.Energy[i] = float64(i%100 + 1)
+	}
+	for i := 0; i < 40; i++ {
+		req.Changes = append(req.Changes, SessionEdgeChange{A: i, B: 3*i + 1, Up: i%3 == 0})
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd := bytes.NewReader(body)
+	r := &http.Request{Body: io.NopCloser(rd)}
+	allocs := testing.AllocsPerRun(50, func() {
+		rd.Reset(body)
+		var got SessionChangesRequest
+		if err := decodeFast(r, &got, scanSessionChanges); err != nil || len(got.Changes) != 40 {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3 {
+		t.Errorf("decoding a %d-byte delta batch allocates %v times, want <= 3", len(body), allocs)
+	}
+}

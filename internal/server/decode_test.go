@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"pacds/internal/cds"
+	"pacds/internal/graph"
 	"pacds/internal/xrand"
 )
 
@@ -129,9 +130,9 @@ func checkFast[T any](t testing.TB, body []byte, scan func([]byte) (T, bool)) bo
 }
 
 // randomRequests returns count random values of each graph-carrying
-// request type, with the corners the scanner must get right: nil and
-// empty slices, negative zero, floats json.Marshal writes with an
-// exponent, and ints at the 18-digit limit.
+// request type, then count SessionChangesRequests, with the corners the
+// scanner must get right: nil and empty slices, negative zero, floats
+// json.Marshal writes with an exponent, and ints at the 18-digit limit.
 func randomRequests(seed uint64, count int) []any {
 	rng := xrand.New(seed)
 	pick := func(n int) bool { return rng.Intn(n) == 0 }
@@ -196,6 +197,19 @@ func randomRequests(seed uint64, count int) []any {
 			ComputeRequest{Graph: graph(), Policy: policy(), Energy: floats(), IncludeMarked: pick(2)},
 			VerifyRequest{Graph: graph(), Gateways: ints()},
 			SessionCreateRequest{Graph: graph(), Policy: policy(), Energy: floats()})
+	}
+	for i := 0; i < count; i++ {
+		var req SessionChangesRequest
+		if pick(4) {
+			req.Changes = []SessionEdgeChange{}
+		}
+		for k := rng.Intn(8); k > 0; k-- {
+			req.Changes = append(req.Changes, SessionEdgeChange{A: anInt(), B: anInt(), Up: pick(2)})
+		}
+		if !pick(3) {
+			req.Energy = floats()
+		}
+		out = append(out, req)
 	}
 	return out
 }
@@ -269,6 +283,28 @@ var fallbackBodies = []string{
 	`{"graph":{"nodes":2,"edges":[[0,1]]},"policy":"I`,
 	`{"graph":{"nodes":2,"edges":[[0,1]]},"gateways":[0`,
 	``,
+	// Delta batches: whitespace, reordered, missing, extra and repeated
+	// keys, fields of the wrong type, and truncations.
+	` {"changes":[{"a":0,"b":1,"up":true}]}`,
+	`{"changes":[{"a":0, "b":1,"up":true}]}`,
+	`{"energy":[1,2],"changes":[{"a":0,"b":1,"up":true}]}`,
+	`{"changes":[{"b":1,"a":0,"up":true}]}`,
+	`{"changes":[{"a":0,"b":1}]}`,
+	`{"changes":[{"a":0,"b":1,"up":true,"up":false}]}`,
+	`{"changes":[{"a":0,"b":1,"up":true}],"changes":[]}`,
+	`{"changes":[{"a":0,"b":1,"up":true}],"bogus":1}`,
+	`{"changes":[{"a":0,"b":1,"up":1}]}`,
+	`{"changes":[{"a":0,"b":1,"up":null}]}`,
+	`{"changes":[{"a":0.0,"b":1,"up":true}]}`,
+	`{"changes":[{"a":"0","b":1,"up":true}]}`,
+	`{"changes":[{"a":0,"b":1,"up":true},]}`,
+	`{"changes":[{"a":0,"b":1,"up":true}],"energy":[1,.5]}`,
+	`{"changes":[{"a":0,"b":1,"up":true}],"energy":[1,2,]}`,
+	`{"energy":[1,-]}`,
+	`{"energy":[1,2]`,
+	`{"changes":[{"a":0,"b":1,"up":tru`,
+	`{"changes":{}}`,
+	`{,}`,
 }
 
 // FuzzFastDecode is the differential target for the fast path: whenever
@@ -292,11 +328,12 @@ func FuzzFastDecode(f *testing.F) {
 		checkFast(t, body, scanCompute)
 		checkFast(t, body, scanVerify)
 		checkFast(t, body, scanSessionCreate)
+		checkFast(t, body, scanSessionChanges)
 	})
 }
 
 // TestFastDecodeAcceptsMarshalledRequests checks that the fast path
-// takes every body json.Marshal writes for the three request types, so
+// takes every body json.Marshal writes for the four request types, so
 // Client, loadgen and perfbench traffic never falls back.
 func TestFastDecodeAcceptsMarshalledRequests(t *testing.T) {
 	for _, v := range randomRequests(2, 300) {
@@ -312,6 +349,8 @@ func TestFastDecodeAcceptsMarshalledRequests(t *testing.T) {
 			ok = checkFast(t, body, scanVerify)
 		case SessionCreateRequest:
 			ok = checkFast(t, body, scanSessionCreate)
+		case SessionChangesRequest:
+			ok = checkFast(t, body, scanSessionChanges)
 		}
 		if !ok {
 			t.Fatalf("fast path declines json.Marshal output %q", body)
@@ -322,7 +361,8 @@ func TestFastDecodeAcceptsMarshalledRequests(t *testing.T) {
 func TestFastDecodeDeclinesNonCanonicalBodies(t *testing.T) {
 	for _, body := range fallbackBodies {
 		b := []byte(body)
-		if checkFast(t, b, scanCompute) || checkFast(t, b, scanVerify) || checkFast(t, b, scanSessionCreate) {
+		if checkFast(t, b, scanCompute) || checkFast(t, b, scanVerify) || checkFast(t, b, scanSessionCreate) ||
+			checkFast(t, b, scanSessionChanges) {
 			t.Errorf("fast path accepts non-canonical body %q", body)
 		}
 	}
@@ -440,6 +480,79 @@ func TestFastPathMatchesFallbackEndToEnd(t *testing.T) {
 		refCode, ref := send(tc.path, append([]byte(" "), body...))
 		if fastCode != refCode || fast != ref {
 			t.Errorf("%s %s:\nfast path %d %s\nfallback  %d %s", tc.path, body, fastCode, fast, refCode, ref)
+		}
+	}
+}
+
+// TestSessionChangesFastPathMatchesFallback streams the same delta
+// batches into two sessions of one graph, canonical bodies into one and
+// the same bodies behind a leading space, which encoding/json decodes,
+// into the other, and compares every reply but the session id: applied
+// batches, energy refreshes, stale links and energies (409), a self link
+// and a bad body (400).
+func TestSessionChangesFastPathMatchesFallback(t *testing.T) {
+	s := New(Config{SessionReap: -1})
+	defer s.Close()
+	h := s.Handler()
+	inst := randomInstance(t, 30, 4)
+	send := func(path string, body []byte) (int, map[string]any) {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		var v map[string]any
+		if err := json.Unmarshal(rr.Body.Bytes(), &v); err != nil {
+			t.Fatalf("%s: %d %s", path, rr.Code, rr.Body)
+		}
+		delete(v, "id")
+		return rr.Code, v
+	}
+	energy := make([]float64, 30)
+	for i := range energy {
+		energy[i] = float64(10 * (i%7 + 1))
+	}
+	create, err := json.Marshal(SessionCreateRequest{Graph: specFor(inst.Graph), Policy: "EL2", Energy: energy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids [2]string
+	for k := range ids {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/v1/sessions", bytes.NewReader(create)))
+		var resp SessionResponse
+		if err := json.Unmarshal(rr.Body.Bytes(), &resp); err != nil || rr.Code != http.StatusCreated {
+			t.Fatalf("session create = %d %s", rr.Code, rr.Body)
+		}
+		ids[k] = resp.ID
+	}
+	drained := slices.Clone(energy)
+	for i := range drained {
+		drained[i] -= float64(i % 3)
+	}
+	var flips []SessionEdgeChange
+	inst.Graph.Edges(func(u, v graph.NodeID) {
+		if len(flips) < 6 {
+			flips = append(flips, SessionEdgeChange{A: int(u), B: int(v)})
+		}
+	})
+	batches := []SessionChangesRequest{
+		{Changes: flips},
+		{Changes: []SessionEdgeChange{{A: 0, B: 29, Up: true}, flips[0]}, Energy: drained},
+		{Energy: energy},
+		{},
+		{Changes: []SessionEdgeChange{{A: 0, B: 30, Up: true}}},
+		{Changes: []SessionEdgeChange{{A: -1, B: 2}}},
+		{Changes: []SessionEdgeChange{{A: 3, B: 3, Up: true}}},
+		{Energy: energy[:5]},
+		{Changes: []SessionEdgeChange{{A: 999999999999999999, B: 0}}},
+	}
+	for _, b := range batches {
+		body, err := json.Marshal(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fastCode, fast := send("/v1/sessions/"+ids[0]+"/changes", body)
+		refCode, ref := send("/v1/sessions/"+ids[1]+"/changes", append([]byte(" "), body...))
+		if fastCode != refCode || !reflect.DeepEqual(fast, ref) {
+			t.Errorf("%s:\nfast path %d %v\nfallback  %d %v", body, fastCode, fast, refCode, ref)
 		}
 	}
 }

@@ -54,3 +54,49 @@ func BenchmarkRequestPath(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSessionChangesDecode times the scan and encoding/json on the
+// two delta batches perfbench's sessions workload sends most at its
+// largest size, N=2859 at paper density: a 1% mobility batch of 200 link
+// events, and the same batch with a full energy refresh of integer
+// levels.
+func BenchmarkSessionChangesDecode(b *testing.B) {
+	const n = 2859
+	var mobility SessionChangesRequest
+	for i := 0; i < 200; i++ {
+		mobility.Changes = append(mobility.Changes, SessionEdgeChange{A: (i * 37) % n, B: (i*91 + 5) % n, Up: i%2 == 0})
+	}
+	refresh := SessionChangesRequest{Changes: mobility.Changes, Energy: make([]float64, n)}
+	for i := range refresh.Energy {
+		refresh.Energy[i] = float64((i*7)%100 + 1)
+	}
+	for _, tc := range []struct {
+		name string
+		req  SessionChangesRequest
+	}{{"mobility", mobility}, {"refresh", refresh}} {
+		body, err := json.Marshal(tc.req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, ok := scanSessionChanges(body); !ok {
+			b.Fatal("scanSessionChanges declines a json.Marshal body")
+		}
+		b.Run(tc.name+"/scan", func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(body)))
+			for b.Loop() {
+				scanSessionChanges(body)
+			}
+		})
+		b.Run(tc.name+"/json", func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(body)))
+			for b.Loop() {
+				var req SessionChangesRequest
+				if err := decodeBody(body, &req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -185,7 +185,7 @@ func (s *Server) handleSessionCreate(ctx context.Context, w http.ResponseWriter,
 func (s *Server) handleSessionChanges(ctx context.Context, w http.ResponseWriter, r *http.Request) (int, error) {
 	id := r.PathValue("id")
 	var req SessionChangesRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeFast(r, &req, scanSessionChanges); err != nil {
 		return http.StatusBadRequest, err
 	}
 	changes := make([]topo.EdgeChange, len(req.Changes))
