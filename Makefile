@@ -28,9 +28,10 @@ test:
 # (concurrent span commits racing /debug/traces readers), and the
 # parallel compute pipeline (par worker primitive, parallel cds marking,
 # parallel udg builder — whose determinism property tests assert
-# byte-identical output at every worker count under the racer).
+# byte-identical output at every worker count under the racer), and the
+# graph model, whose Builder cdsd's workers share through a pool.
 race:
-	$(GO) test -race ./internal/distributed/ ./internal/sim/ ./internal/server/ ./internal/topo/ ./internal/experiments/ ./internal/load/ ./internal/resilience/ ./internal/chaos/ ./internal/obs/ ./internal/par/ ./internal/cds/ ./internal/udg/
+	$(GO) test -race ./internal/distributed/ ./internal/sim/ ./internal/server/ ./internal/topo/ ./internal/experiments/ ./internal/load/ ./internal/resilience/ ./internal/chaos/ ./internal/obs/ ./internal/par/ ./internal/cds/ ./internal/udg/ ./internal/graph/
 
 # Statement-coverage floors for the core pruning library, the serving
 # subsystem, the load harness, the resilience primitives, the session

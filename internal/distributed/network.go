@@ -115,11 +115,15 @@ type Stats struct {
 }
 
 // payloadBytes estimates one message's size.
-func payloadBytes(m Message) int {
+func payloadBytes(m Message) int { return payloadSize(m.Kind, len(m.Neighbors)) }
+
+// payloadSize estimates the size of a message of kind k whose
+// NeighborList payload holds nbrs ids.
+func payloadSize(k Kind, nbrs int) int {
 	const header = 8 // sender id + kind + flags
-	switch m.Kind {
+	switch k {
 	case NeighborList:
-		return header + 4*len(m.Neighbors) + 8
+		return header + 4*nbrs + 8
 	default:
 		return header + 1
 	}

@@ -113,9 +113,9 @@ func NewSession(g *graph.Graph, p cds.Policy, energy []float64) (*Session, error
 	marked := s.marker.Marked()
 	for v := 0; v < n; v++ {
 		id := graph.NodeID(v)
-		s.broadcast(Message{From: id, Kind: Hello})
-		s.broadcast(Message{From: id, Kind: NeighborList, Neighbors: s.g.Neighbors(id), Energy: s.energyArr[v]})
-		s.broadcast(Message{From: id, Kind: Status, Marked: marked[v]})
+		s.broadcast(id, Hello, 0)
+		s.broadcast(id, NeighborList, s.g.Degree(id))
+		s.broadcast(id, Status, 0)
 		s.seed.Add(id)
 	}
 	s.stats.Rounds += 3
@@ -127,12 +127,15 @@ func NewSession(g *graph.Graph, p cds.Policy, energy []float64) (*Session, error
 	return s, nil
 }
 
-// broadcast charges one broadcast of m: one message, its payload bytes
-// and one delivery per current neighbor of the sender.
-func (s *Session) broadcast(m Message) {
+// broadcast charges one broadcast of a message of the given kind from
+// host from, whose payload lists nbrs neighbor ids (a NeighborList's
+// list; 0 for the other kinds): one message, its payload bytes and one
+// delivery per current neighbor of the sender. The session simulates no
+// hosts, so it builds no Message.
+func (s *Session) broadcast(from graph.NodeID, kind Kind, nbrs int) {
 	s.stats.Messages++
-	s.stats.Bytes += payloadBytes(m)
-	s.stats.Deliveries += s.g.Degree(m.From)
+	s.stats.Bytes += payloadSize(kind, nbrs)
+	s.stats.Deliveries += s.g.Degree(from)
 }
 
 // addClosed adds v and its neighbors, the slots that read v, to w.
@@ -219,7 +222,7 @@ func (s *Session) UpdateEnergy(energy []float64) error {
 		}
 		id := graph.NodeID(v)
 		s.energyArr[v] = e
-		s.broadcast(Message{From: id, Kind: NeighborList, Neighbors: s.g.Neighbors(id), Energy: e})
+		s.broadcast(id, NeighborList, s.g.Degree(id))
 		if s.policy.NeedsEnergy() {
 			// The priority order reads el() of a slot's neighbors, so a
 			// changed level dirties the host and everyone adjacent to it.
@@ -266,7 +269,7 @@ func (s *Session) ApplyChanges(changes []EdgeChange) (int, error) {
 	// Hosts with changed link sets broadcast their new neighbor lists.
 	sent := s.stats.Messages
 	for _, v := range s.linkChanged.List() {
-		s.broadcast(Message{From: v, Kind: NeighborList, Neighbors: s.g.Neighbors(v), Energy: s.energyArr[v]})
+		s.broadcast(v, NeighborList, s.g.Degree(v))
 	}
 	s.endPhase(sent)
 
@@ -281,17 +284,17 @@ func (s *Session) ApplyChanges(changes []EdgeChange) (int, error) {
 	// dirties the host and its neighbors, and energy updates queued the
 	// analogous set in pendingDirty.
 	sent = s.stats.Messages
-	marked := s.marker.Marked()
+	s.marker.Marked() // recomputes the queued markers, which Flipped lists
 	changed := len(s.marker.Flipped())
 	for _, v := range s.marker.Flipped() {
 		s.addClosed(&s.seed, v)
 		if !s.linkChanged.Has(v) {
-			s.broadcast(Message{From: v, Kind: Status, Marked: marked[v]})
+			s.broadcast(v, Status, 0)
 		}
 	}
 	for _, v := range s.linkChanged.List() {
 		s.addClosed(&s.seed, v)
-		s.broadcast(Message{From: v, Kind: Status, Marked: marked[v]})
+		s.broadcast(v, Status, 0)
 	}
 	s.endPhase(sent)
 	for _, v := range s.pendingDirty.List() {
@@ -326,7 +329,7 @@ func (s *Session) rulePhase() int {
 	}
 	s.rules.Resweep(marked, s.gw1, s.gw2, &s.seed, &s.f2, &s.flipped)
 	for _, v := range s.flipped.List() {
-		s.broadcast(Message{From: v, Kind: StatusUpdate, Marked: s.gw2[v]})
+		s.broadcast(v, StatusUpdate, 0)
 	}
 	s.stats.StatusChanges += len(s.flipped.List())
 	s.lastFrontier = len(s.f2.List())

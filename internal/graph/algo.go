@@ -251,23 +251,46 @@ func (g *Graph) BFSWithin(src NodeID, allowed []bool) []int {
 // Eccentricity returns the maximum BFS distance from v to any reachable
 // node.
 func (g *Graph) Eccentricity(v NodeID) int {
+	g.check(v)
+	return g.eccentricity(v, make([]int32, len(g.adj)), make([]NodeID, len(g.adj)))
+}
+
+// Diameter returns the longest shortest path between any pair of nodes in
+// the same component. O(V * E); intended for analysis, not hot paths.
+// Every BFS runs on one dist/queue pair, so a call makes two allocations
+// whatever the node count.
+func (g *Graph) Diameter() int {
+	dist, queue := make([]int32, len(g.adj)), make([]NodeID, len(g.adj))
 	max := 0
-	for _, d := range g.BFS(v) {
-		if d > max {
-			max = d
+	for v := range g.adj {
+		if e := g.eccentricity(NodeID(v), dist, queue); e > max {
+			max = e
 		}
 	}
 	return max
 }
 
-// Diameter returns the longest shortest path between any pair of nodes in
-// the same component. O(V * E); intended for analysis, not hot paths.
-func (g *Graph) Diameter() int {
-	max := 0
-	for v := range g.adj {
-		if e := g.Eccentricity(NodeID(v)); e > max {
-			max = e
+// eccentricity is Eccentricity on caller-owned storage: dist and queue
+// hold one slot per node, and their contents on entry do not matter.
+func (g *Graph) eccentricity(src NodeID, dist []int32, queue []NodeID) int {
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[src] = 0
+	queue[0] = src
+	head, tail := 0, 1
+	for head < tail {
+		v := queue[head]
+		head++
+		for _, u := range g.adj[v] {
+			if dist[u] == -1 {
+				dist[u] = dist[v] + 1
+				queue[tail] = u
+				tail++
+			}
 		}
 	}
-	return max
+	// BFS visits nodes in order of distance: the last one queued is the
+	// farthest.
+	return int(dist[queue[tail-1]])
 }

@@ -2,6 +2,8 @@ package graph
 
 import (
 	"testing"
+
+	"pacds/internal/xrand"
 )
 
 func TestBFSPath(t *testing.T) {
@@ -233,5 +235,47 @@ func TestEccentricity(t *testing.T) {
 	}
 	if e := g.Eccentricity(0); e != 4 {
 		t.Fatalf("end eccentricity = %d, want 4", e)
+	}
+}
+
+// TestDiameterMatchesBFS checks Diameter and Eccentricity, which share
+// one dist/queue pair across sources, against the largest distance any
+// BFS from a fresh pair finds, on sparse random graphs with several
+// components and isolated nodes.
+func TestDiameterMatchesBFS(t *testing.T) {
+	rng := xrand.New(5)
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + rng.Intn(60)
+		g := New(n)
+		for k := rng.Intn(2 * n); k > 0; k-- {
+			if u, v := NodeID(rng.Intn(n)), NodeID(rng.Intn(n)); u != v {
+				g.AddEdge(u, v)
+			}
+		}
+		want := 0
+		for v := 0; v < n; v++ {
+			ecc := 0
+			for _, d := range g.BFS(NodeID(v)) {
+				ecc = max(ecc, d)
+			}
+			if got := g.Eccentricity(NodeID(v)); got != ecc {
+				t.Fatalf("trial %d: Eccentricity(%d) = %d, BFS says %d", trial, v, got, ecc)
+			}
+			want = max(want, ecc)
+		}
+		if got := g.Diameter(); got != want {
+			t.Fatalf("trial %d: Diameter = %d, BFS says %d", trial, got, want)
+		}
+	}
+}
+
+// TestDiameterAllocations pins Diameter at its dist/queue pair, however
+// many sources it runs a BFS from. cdsd's verify endpoint calls it
+// through cds.Analyze on every backbone.
+func TestDiameterAllocations(t *testing.T) {
+	for _, g := range []*Graph{New(0), Path(300), Cycle(1000)} {
+		if got := testing.AllocsPerRun(5, func() { g.Diameter() }); got > 2 {
+			t.Errorf("N=%d: Diameter allocates %v per call, want <= 2", g.NumNodes(), got)
+		}
 	}
 }

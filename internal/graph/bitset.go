@@ -16,9 +16,10 @@ package graph
 // through AutoBitset for every graph up to BitsetMaxNodes nodes, so the
 // simulator's and cdsd's hot paths get the fast kernels without any
 // call-site changes. Once enabled, the view is kept current incrementally
-// by AddEdge/RemoveEdge and copied by Clone, so it is built once per
-// graph; the backing storage is retained across EnableBitset calls so
-// refreshing the view for a same-sized graph allocates nothing.
+// by AddEdge/RemoveEdge, so it is built once per graph (Clone copies no
+// view); the backing storage is retained across EnableBitset calls so
+// refreshing the view for a same-sized graph allocates nothing, and a
+// Builder keeps it from one build to the next.
 //
 // Set operations dispatch to the bitset path only when the operand degrees
 // exceed a words-per-row threshold; below it the merge scan touches less
@@ -78,10 +79,19 @@ const BitsetMaxNodes = 4096
 // included, get the bitset view; larger graphs are left as they are.
 // Builders call it on every path, so a graph takes the same kernel
 // dispatch whichever builder produced it. A graph that already carries
-// the view is left alone: AddEdge/RemoveEdge keep it current and Clone
-// copies it, so there is nothing to rebuild.
+// the view is left alone: AddEdge/RemoveEdge keep it current, so there
+// is nothing to rebuild.
 func (g *Graph) AutoBitset() {
-	if g.bits.rows == nil && len(g.adj) <= BitsetMaxNodes {
+	if g.bits.rows == nil {
+		g.autoBitset(nil)
+	}
+}
+
+// autoBitset is AutoBitset for a graph with no view, building the view
+// in words when they can hold it (see EnableBitset).
+func (g *Graph) autoBitset(words []uint64) {
+	if len(g.adj) <= BitsetMaxNodes {
+		g.bits.rows = words
 		g.EnableBitset()
 	}
 }

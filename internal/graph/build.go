@@ -13,7 +13,9 @@ import (
 // deployment at once. The constructors below lay the adjacency out in a
 // single flat backing array and fix the row order once, so building a
 // 100k-node graph is two passes over the edges instead of 100k growing
-// slices. FromFlatEdges and FromEdgeFunc share one CSR core (csr below).
+// slices. FromFlatEdges, FromEdgeFunc and Builder share one CSR core
+// (csr below): the first two build into fresh storage, Builder into
+// storage it keeps from one build to the next.
 
 // FromFlatEdges builds a graph over n nodes from a flat edge list
 // u0, v0, u1, v1, …: the pairs may come in any order, a repeated edge is
@@ -24,18 +26,44 @@ import (
 // sorting a row. The graph gets the bitset view under AutoBitset's
 // policy.
 func FromFlatEdges(n int, edges []NodeID) *Graph {
-	if len(edges)%2 != 0 {
-		panic("graph: FromFlatEdges odd-length edge list")
+	b := newCSR(New(n), nil)
+	return b.flat(edges)
+}
+
+// Builder builds graphs as FromFlatEdges does, into storage it keeps: the
+// row headers, the row offsets, the adjacency arena and the bitset view's
+// words. A build reuses whatever is large enough and grows the rest, so
+// once a Builder has built a graph of some size, building one no larger
+// allocates nothing. The graph Build returns lives in that storage: it is
+// valid until the next Build on the same Builder, and nothing may keep a
+// reference to it, its rows or its view past then. The zero value is
+// ready to use; a Builder is not safe for concurrent use.
+type Builder struct {
+	g     Graph
+	off   []int
+	arena []NodeID
+	// words is the view's storage, kept across builds above
+	// BitsetMaxNodes, which have no view.
+	words []uint64
+}
+
+// Build returns the graph FromFlatEdges(n, edges) would, built in b's
+// storage. The edges are read during the call only.
+func (b *Builder) Build(n int, edges []NodeID) *Graph {
+	if n < 0 {
+		panic("graph: negative node count")
 	}
-	b := newCSR(n)
-	for i := 0; i < len(edges); i += 2 {
-		b.count(edges[i], edges[i+1])
+	g := &b.g
+	g.adj = resize(g.adj, n)
+	g.bits = bitsetAdj{}
+	c := newCSR(g, b.off)
+	c.arena, c.words = b.arena, b.words
+	c.flat(edges)
+	b.off, b.arena = c.off, c.arena
+	if g.bits.rows != nil {
+		b.words = g.bits.rows
 	}
-	b.place()
-	for i := 0; i < len(edges); i += 2 {
-		b.fill(edges[i], edges[i+1])
-	}
-	return b.finish()
+	return g
 }
 
 // FromEdgeFunc builds a graph over n nodes from an edge stream, compactly:
@@ -48,7 +76,7 @@ func FromFlatEdges(n int, edges []NodeID) *Graph {
 // otherwise, like AddEdge). The graph gets the bitset view under
 // AutoBitset's policy.
 func FromEdgeFunc(n int, visit func(emit func(u, v NodeID))) *Graph {
-	b := newCSR(n)
+	b := newCSR(New(n), nil)
 	emit := b.emit
 	visit(emit)
 	b.place()
@@ -56,16 +84,20 @@ func FromEdgeFunc(n int, visit func(emit func(u, v NodeID))) *Graph {
 	return b.finish()
 }
 
-// csr is the one CSR construction behind FromFlatEdges and FromEdgeFunc:
-// a count pass over the edges, a prefix sum into row offsets, a fill
-// pass into one flat arena, then the rows cut out of the arena, each
+// csr is the one CSR construction behind FromFlatEdges, FromEdgeFunc and
+// Builder: a count pass over the edges, a prefix sum into row offsets, a
+// fill pass into one flat arena, then the rows cut out of the arena, each
 // sorted and deduplicated unless the fill pass saw canonical order.
 type csr struct {
 	g *Graph
 	// off[v+1] counts row v's arcs in the count pass; place turns off[v]
 	// into row v's start, and the fill pass advances it to the row's end.
-	off   []int
+	off []int
+	// arena and words are storage that place and finish reuse when it is
+	// large enough: nil for a fresh graph, a Builder's from its last
+	// build.
 	arena []NodeID
+	words []uint64
 	// filling is set by place: emit fills instead of counting.
 	filling bool
 	// prevU, prevV are the last pair filled. canonical holds while every
@@ -77,8 +109,36 @@ type csr struct {
 	canonical    bool
 }
 
-func newCSR(n int) csr {
-	return csr{g: New(n), off: make([]int, n+1), prevU: -1, canonical: true}
+// newCSR starts a construction of g, whose row headers are already
+// sized, with its row offsets in off when off can hold them.
+func newCSR(g *Graph, off []int) csr {
+	off = resize(off, len(g.adj)+1)
+	clear(off)
+	return csr{g: g, off: off, prevU: -1, canonical: true}
+}
+
+// resize returns s at length n, in s's own storage when it is large
+// enough. The contents are arbitrary.
+func resize[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n)
+}
+
+// flat runs the construction over a flat edge list.
+func (b *csr) flat(edges []NodeID) *Graph {
+	if len(edges)%2 != 0 {
+		panic("graph: FromFlatEdges odd-length edge list")
+	}
+	for i := 0; i < len(edges); i += 2 {
+		b.count(edges[i], edges[i+1])
+	}
+	b.place()
+	for i := 0; i < len(edges); i += 2 {
+		b.fill(edges[i], edges[i+1])
+	}
+	return b.finish()
 }
 
 // emit is FromEdgeFunc's callback for both passes.
@@ -117,13 +177,14 @@ func (e badEdge) Error() string {
 	return "graph: self loop"
 }
 
-// place turns the arc counts into row starts and allocates the arena.
+// place turns the arc counts into row starts and sizes the arena. The
+// fill pass writes every slot, so a reused arena needs no clearing.
 func (b *csr) place() {
 	off := b.off
 	for v := 1; v < len(off); v++ {
 		off[v] += off[v-1]
 	}
-	b.arena = make([]NodeID, off[len(off)-1])
+	b.arena = resize(b.arena, off[len(off)-1])
 	b.filling = true
 }
 
@@ -156,6 +217,6 @@ func (b *csr) finish() *Graph {
 		arcs += len(row)
 	}
 	g.edges = arcs / 2
-	g.AutoBitset()
+	g.autoBitset(b.words)
 	return g
 }

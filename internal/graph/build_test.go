@@ -79,7 +79,7 @@ func TestFromFlatEdgesCanonicalSkipsSort(t *testing.T) {
 		{"descending", []NodeID{3, 4, 2, 3, 1, 4, 1, 2, 0, 4, 0, 1}, false},
 		{"same u, v falls", []NodeID{0, 4, 0, 1, 1, 2, 1, 4, 2, 3, 3, 4}, false},
 	} {
-		b := newCSR(5)
+		b := newCSR(New(5), nil)
 		for i := 0; i < len(tc.flat); i += 2 {
 			b.count(tc.flat[i], tc.flat[i+1])
 		}
@@ -251,5 +251,84 @@ func TestCloneArenaMutation(t *testing.T) {
 				t.Fatalf("mutating the clone changed the original's bitset view at %d-%d", v, u)
 			}
 		}
+	}
+}
+
+// randomFlat returns a flat list of m loop-free pairs over n nodes, in
+// random order, with repeats.
+func randomFlat(rng *xrand.RNG, n, m int) []NodeID {
+	flat := make([]NodeID, 0, 2*m)
+	for n > 1 && len(flat) < 2*m {
+		if u, v := NodeID(rng.Intn(n)), NodeID(rng.Intn(n)); u != v {
+			flat = append(flat, u, v)
+		}
+	}
+	return flat
+}
+
+// sameBuild reports how got differs from want, a FromFlatEdges graph:
+// adjacency, edge count, rows capped at their length, and the dense view
+// word for word.
+func sameBuild(got, want *Graph) string {
+	switch {
+	case !Equal(got, want) || got.NumEdges() != want.NumEdges():
+		return "adjacency"
+	case got.BitsetEnabled() != want.BitsetEnabled():
+		return "view enabled"
+	case got.bits.words != want.bits.words || !slices.Equal(got.bits.rows, want.bits.rows):
+		return "view words"
+	}
+	for v, row := range got.adj {
+		if cap(row) != len(row) {
+			return fmt.Sprintf("row %d not capped", v)
+		}
+	}
+	return ""
+}
+
+// TestBuilderMatchesFromFlatEdges runs one Builder over a sequence of
+// node counts that grows and shrinks across BitsetMaxNodes, so every
+// piece of kept storage is reused, grown and left idle in turn, and
+// checks each build against FromFlatEdges: canonical lists, which skip
+// the row sort, and shuffled lists with swapped and repeated pairs.
+func TestBuilderMatchesFromFlatEdges(t *testing.T) {
+	rng := xrand.New(11)
+	var b Builder
+	for _, n := range []int{150, 5000, 40, BitsetMaxNodes, BitsetMaxNodes + 1, 300, 0, 1, 6000, 64, 65, 10} {
+		for _, form := range []string{"canonical", "shuffled"} {
+			flat := randomFlat(rng, n, 4*n)
+			if form == "canonical" {
+				var c []NodeID
+				FromFlatEdges(n, flat).Edges(func(u, v NodeID) { c = append(c, u, v) })
+				flat = c
+			}
+			want := FromFlatEdges(n, flat)
+			got := b.Build(n, flat)
+			if diff := sameBuild(got, want); diff != "" {
+				t.Fatalf("N=%d %s: Build differs from FromFlatEdges in %s", n, form, diff)
+			}
+		}
+	}
+}
+
+// TestBuilderReusesStorage pins the point of Builder: once it has built a
+// graph, building that graph or a smaller one allocates nothing, view
+// included, and a graph built after a larger one carries no stale arc or
+// view bit of it.
+func TestBuilderReusesStorage(t *testing.T) {
+	rng := xrand.New(12)
+	large, small := randomFlat(rng, 400, 4000), randomFlat(rng, 90, 500)
+	var b Builder
+	b.Build(400, large)
+	for _, tc := range []struct {
+		n    int
+		flat []NodeID
+	}{{400, large}, {90, small}} {
+		if got := testing.AllocsPerRun(20, func() { b.Build(tc.n, tc.flat) }); got != 0 {
+			t.Errorf("N=%d: a warm Build allocates %v per call, want 0", tc.n, got)
+		}
+	}
+	if diff := sameBuild(b.Build(90, small), FromFlatEdges(90, small)); diff != "" {
+		t.Fatalf("a build after a larger one differs from FromFlatEdges in %s", diff)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/fnv"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -146,4 +147,102 @@ func TestCanonicalStableAcrossClone(t *testing.T) {
 	if !bytes.Equal(Canonical(g), Canonical(c)) {
 		t.Fatal("clone canonicalizes differently")
 	}
+}
+
+// isCanonicalFlat is DigestFlat's order test, spelled out: u < v in every
+// pair, pairs strictly ascending.
+func isCanonicalFlat(flat []NodeID) bool {
+	for i := 0; i < len(flat); i += 2 {
+		if flat[i] >= flat[i+1] {
+			return false
+		}
+		if i > 0 && (flat[i] < flat[i-2] || flat[i] == flat[i-2] && flat[i+1] <= flat[i-1]) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkDigestFlat checks DigestFlat on flat against Digest of the graph
+// FromFlatEdges builds from it: equal when the list is canonical,
+// reported not canonical otherwise, and equal again once CanonicalFlat
+// has reordered a copy, which must build the same graph.
+func checkDigestFlat(t *testing.T, n int, flat []NodeID) {
+	t.Helper()
+	g := FromFlatEdges(n, flat)
+	want := Digest(g)
+	d, ok := DigestFlat(n, flat)
+	if ok != isCanonicalFlat(flat) {
+		t.Fatalf("N=%d %v: DigestFlat reports canonical = %v", n, flat, ok)
+	}
+	if ok && d != want {
+		t.Fatalf("N=%d %v: DigestFlat = %016x, Digest = %016x", n, flat, d, want)
+	}
+	c := CanonicalFlat(slices.Clone(flat))
+	if !isCanonicalFlat(c) || !Equal(FromFlatEdges(n, c), g) {
+		t.Fatalf("N=%d %v: CanonicalFlat gives %v", n, flat, c)
+	}
+	if d, ok := DigestFlat(n, c); !ok || d != want {
+		t.Fatalf("N=%d %v: DigestFlat of the canonical list = %016x, %v; Digest = %016x", n, flat, d, ok, want)
+	}
+}
+
+// TestDigestFlat runs checkDigestFlat over the lists a request can carry:
+// json.Marshal's canonical order, and the same edges shuffled, with pairs
+// swapped and with repeats. The fixed lists pin the empty list and a
+// break in order at the last pair.
+func TestDigestFlat(t *testing.T) {
+	for _, tc := range []struct {
+		n    int
+		flat []NodeID
+	}{
+		{0, nil},
+		{1, []NodeID{}},
+		{300, nil},
+		{5, []NodeID{0, 1, 0, 4, 1, 2, 1, 4, 2, 3, 3, 4}},
+		{5, []NodeID{0, 1, 0, 4, 1, 2, 1, 4, 2, 3, 4, 3}},
+		{5, []NodeID{0, 1, 0, 4, 1, 2, 1, 4, 2, 3, 3, 4, 3, 4}},
+		{200, []NodeID{0, 199, 5, 150, 140, 141}},
+		{20000, []NodeID{3, 16500, 16500, 19999}},
+	} {
+		checkDigestFlat(t, tc.n, tc.flat)
+	}
+	rng := xrand.New(9)
+	for trial := 0; trial < 60; trial++ {
+		n := []int{2, 7, 130, 300, 5000}[rng.Intn(5)]
+		var canonical []NodeID
+		FromFlatEdges(n, randomFlat(rng, n, rng.Intn(3*n))).Edges(func(u, v NodeID) {
+			canonical = append(canonical, u, v)
+		})
+		shuffled := slices.Clone(canonical)
+		rng.Shuffle(len(shuffled)/2, func(i, j int) {
+			shuffled[2*i], shuffled[2*j] = shuffled[2*j], shuffled[2*i]
+			shuffled[2*i+1], shuffled[2*j+1] = shuffled[2*j+1], shuffled[2*i+1]
+		})
+		swapped := slices.Clone(canonical)
+		for i := 0; i < len(swapped); i += 6 {
+			swapped[i], swapped[i+1] = swapped[i+1], swapped[i]
+		}
+		for _, flat := range [][]NodeID{canonical, shuffled, swapped, slices.Concat(canonical, canonical[:len(canonical)/4*2])} {
+			checkDigestFlat(t, n, flat)
+		}
+	}
+}
+
+// FuzzDigestFlat builds a list of valid pairs over n nodes from the fuzzed
+// bytes, two bytes per pair, and runs checkDigestFlat on it.
+func FuzzDigestFlat(f *testing.F) {
+	f.Add(uint8(0), []byte{})
+	f.Add(uint8(5), []byte{0, 1, 0, 4, 1, 2, 1, 4, 2, 3, 3, 4})
+	f.Add(uint8(5), []byte{4, 3, 0, 1, 0, 1})
+	f.Add(uint8(200), []byte{0, 199, 5, 150, 140, 141, 140, 141})
+	f.Fuzz(func(t *testing.T, n uint8, data []byte) {
+		var flat []NodeID
+		for i := 0; n > 0 && i+1 < len(data); i += 2 {
+			if u, v := NodeID(data[i]%n), NodeID(data[i+1]%n); u != v {
+				flat = append(flat, u, v)
+			}
+		}
+		checkDigestFlat(t, int(n), flat)
+	})
 }

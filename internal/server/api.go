@@ -9,7 +9,6 @@ import (
 
 	"pacds/internal/cds"
 	"pacds/internal/faults"
-	"pacds/internal/graph"
 )
 
 // Wire types of the HTTP/JSON API. Field names are stable; additions must
@@ -20,48 +19,55 @@ import (
 type GraphSpec struct {
 	Nodes int      `json:"nodes"`
 	Edges [][2]int `json:"edges"`
-	// flat is the request scanner's form of an edge list whose every
-	// endpoint is in [0, Nodes) and whose edges are loop-free:
-	// u0,v0,u1,v1,… The scanner leaves Edges nil when it sets flat.
-	flat []int32
+	// buf is the request scanner's form of an edge list whose every
+	// endpoint is in [0, Nodes) and whose edges are loop-free, flat in a
+	// pooled buffer. The scanner leaves Edges nil when it sets buf.
+	buf *edgeBuf
 }
 
-// build validates the spec and constructs the graph with one call into
-// graph.FromFlatEdges, which lays the edges out in one flat adjacency
-// arena. maxNodes guards the service against memory-exhaustion requests.
-func (s GraphSpec) build(maxNodes int) (*graph.Graph, error) {
+// edgeList validates the spec and returns its edges flat, in a pooled
+// buffer that the caller then owns (see edgeBuf): the scanner's buffer
+// as it is, or a new one holding Edges, which encoding/json and Go
+// callers fill, checked and flattened. The first bad edge is the error;
+// with an error, the scanner's buffer has gone back to the pool.
+// maxNodes guards the service against memory-exhaustion requests.
+func (s GraphSpec) edgeList(maxNodes int) (*edgeBuf, error) {
 	if s.Nodes < 0 {
+		s.release()
 		return nil, fmt.Errorf("nodes must be non-negative, got %d", s.Nodes)
 	}
 	if maxNodes > 0 && s.Nodes > maxNodes {
+		s.release()
 		return nil, fmt.Errorf("nodes %d exceeds the service limit %d", s.Nodes, maxNodes)
 	}
-	flat, err := s.edgeList()
-	if err != nil {
-		return nil, err
-	}
-	return graph.FromFlatEdges(s.Nodes, flat), nil
-}
-
-// edgeList returns the spec's edges flat: the scanner's list as it is,
-// or Edges, which encoding/json and Go callers fill, checked and
-// flattened. The first bad edge is the error.
-func (s GraphSpec) edgeList() ([]int32, error) {
 	if s.Edges == nil {
-		return s.flat, nil
+		if s.buf != nil {
+			return s.buf, nil
+		}
+		return getEdgeBuf(0), nil
 	}
-	flat := make([]int32, 0, 2*len(s.Edges))
+	buf := getEdgeBuf(2 * len(s.Edges))
 	for i, e := range s.Edges {
 		u, v := e[0], e[1]
 		if u < 0 || u >= s.Nodes || v < 0 || v >= s.Nodes {
+			buf.put()
 			return nil, fmt.Errorf("edge %d: %d-%d out of range [0, %d)", i, u, v, s.Nodes)
 		}
 		if u == v {
+			buf.put()
 			return nil, fmt.Errorf("edge %d: self loop %d-%d", i, u, v)
 		}
-		flat = append(flat, int32(u), int32(v))
+		buf.flat = append(buf.flat, int32(u), int32(v))
 	}
-	return flat, nil
+	return buf, nil
+}
+
+// release hands back the scanner's buffer of a request rejected before
+// edgeList.
+func (s GraphSpec) release() {
+	if s.buf != nil {
+		s.buf.put()
+	}
 }
 
 // CrashSpec schedules one host failure in a fault scenario.
@@ -210,11 +216,12 @@ var policyDescriptions = map[cds.Policy]string{
 // energy vector quantized to quantum steps. Quantization makes the key
 // stable across the tiny per-interval drains that do not change the
 // computed CDS tier, which is what turns a continuously-draining serving
-// workload into a cacheable one.
-func cacheKey(g *graph.Graph, p cds.Policy, energy []float64, quantum float64) string {
+// workload into a cacheable one. digest is graph.Digest of the request's
+// graph of n nodes, which edgeBuf.digest reads off its edge list.
+func cacheKey(digest uint64, n int, p cds.Policy, energy []float64, quantum float64) string {
 	h := fnv.New64a()
 	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], graph.Digest(g))
+	binary.LittleEndian.PutUint64(buf[:], digest)
 	h.Write(buf[:])
 	h.Write([]byte{byte(p)})
 	if p.NeedsEnergy() {
@@ -231,7 +238,7 @@ func cacheKey(g *graph.Graph, p cds.Policy, energy []float64, quantum float64) s
 	// one (the final string).
 	key := make([]byte, 0, 40)
 	key = append(key, 'c', '|')
-	key = strconv.AppendInt(key, int64(g.NumNodes()), 10)
+	key = strconv.AppendInt(key, int64(n), 10)
 	key = append(key, '|')
 	key = strconv.AppendUint(key, h.Sum64(), 16)
 	return string(key)

@@ -238,14 +238,14 @@ func (s *scanner) graphPolicyEnergy() (g GraphSpec, policy string, energy []floa
 // graph reads {"nodes":N,"edges":E}. For 0 <= N <= MaxInt32, edges reads
 // the list, flat when it can. For any other N, and for a list edges
 // cannot keep flat, the list lands in Edges as encoding/json decodes it,
-// and build reports what is wrong.
+// and edgeList reports what is wrong.
 func (s *scanner) graph() GraphSpec {
 	var g GraphSpec
 	s.expect(`{"nodes":`)
 	g.Nodes = s.int()
 	s.expect(`,"edges":`)
 	if 0 <= g.Nodes && g.Nodes <= math.MaxInt32 {
-		g.flat, g.Edges = s.edges(int32(g.Nodes))
+		g.buf, g.Edges = s.edges(int32(g.Nodes))
 	} else {
 		g.Edges = scanList(s, edgeCount(s.rest()), s.pair)
 	}
@@ -255,22 +255,24 @@ func (s *scanner) graph() GraphSpec {
 
 // edges reads an edge list of a graph of n nodes. While every edge is
 // [u,v] with u and v plain decimal integers in [0, n) and u != v, one
-// loop over the bytes writes it to flat, u0,v0,u1,v1,…, and build takes
-// that list as it is. At the first edge that is anything else the loop
-// stops, and scanElems reads the list from that edge on as scanList
-// would: the list comes back as pairs, the flat prefix included, for
-// build to reject. Both are sized from the body's bytes, never from n.
-func (s *scanner) edges(n int32) (flat []int32, pairs [][2]int) {
+// loop over the bytes writes it flat, u0,v0,u1,v1,…, into a pooled
+// buffer, and edgeList takes that list as it is. At the first edge that
+// is anything else the loop stops, the buffer goes back to the pool, and
+// scanElems reads the list from that edge on as scanList would: the list
+// comes back as pairs, the flat prefix included, for edgeList to reject.
+// Both are sized from the body's bytes, never from n.
+func (s *scanner) edges(n int32) (buf *edgeBuf, pairs [][2]int) {
 	if s.lit("null") {
 		return nil, nil
 	}
 	if s.need('['); !s.ok {
 		return nil, nil
 	}
-	flat = make([]int32, 0, 2*edgeCount(s.rest()))
+	buf = getEdgeBuf(2 * edgeCount(s.rest()))
 	if s.char(']') {
-		return flat, nil
+		return buf, nil
 	}
+	flat := buf.flat
 	b, i := s.b, s.i
 	for {
 		e := i // the edge's '[', where scanElems takes over
@@ -301,7 +303,8 @@ func (s *scanner) edges(n int32) (flat []int32, pairs [][2]int) {
 		flat = append(flat, int32(u), int32(v))
 		if i += 2; b[i-1] == ']' {
 			s.i = i
-			return flat, nil
+			buf.flat = flat
+			return buf, nil
 		}
 	}
 	s.i = i
@@ -309,6 +312,8 @@ func (s *scanner) edges(n int32) (flat []int32, pairs [][2]int) {
 	for k := range pairs {
 		pairs[k] = [2]int{int(flat[2*k]), int(flat[2*k+1])}
 	}
+	buf.flat = flat
+	buf.put()
 	return nil, scanElems(s, pairs, s.pair)
 }
 

@@ -66,21 +66,22 @@ func exactDiff(path string, a, b reflect.Value) string {
 // specDiff compares two GraphSpecs whichever form holds their edges:
 // the scanner keeps a valid list flat, encoding/json fills Edges. Nodes
 // compare exactly and the edges pair by pair, so a nil list and an empty
-// one are the same graph. A flat list must also be what build trusts it
-// to be: the only list, every endpoint a node, no self loop.
+// one are the same graph. A flat list must also be what edgeList trusts
+// it to be: the only list, every endpoint a node, no self loop.
 func specDiff(path string, a, b GraphSpec) string {
 	if a.Nodes != b.Nodes {
 		return path + ".Nodes"
 	}
 	for _, g := range []GraphSpec{a, b} {
-		if g.flat == nil {
+		if g.buf == nil {
 			continue
 		}
-		if g.Edges != nil || len(g.flat)%2 != 0 {
+		flat := g.buf.flat
+		if g.Edges != nil || len(flat)%2 != 0 {
 			return path + ".flat"
 		}
-		for k := 0; k < len(g.flat); k += 2 {
-			u, v := int(g.flat[k]), int(g.flat[k+1])
+		for k := 0; k < len(flat); k += 2 {
+			u, v := int(flat[k]), int(flat[k+1])
 			if u < 0 || u >= g.Nodes || v < 0 || v >= g.Nodes || u == v {
 				return fmt.Sprintf("%s.flat[%d]", path, k/2)
 			}
@@ -103,9 +104,12 @@ func specPairs(g GraphSpec) [][2]int {
 	if g.Edges != nil {
 		return g.Edges
 	}
-	pairs := make([][2]int, len(g.flat)/2)
+	if g.buf == nil {
+		return nil
+	}
+	pairs := make([][2]int, len(g.buf.flat)/2)
 	for i := range pairs {
-		pairs[i] = [2]int{int(g.flat[2*i]), int(g.flat[2*i+1])}
+		pairs[i] = [2]int{int(g.buf.flat[2*i]), int(g.buf.flat[2*i+1])}
 	}
 	return pairs
 }
@@ -369,8 +373,9 @@ func TestFastDecodeDeclinesNonCanonicalBodies(t *testing.T) {
 }
 
 // TestScanEdgeForms pins the form the scanner keeps an edge list in: a
-// list build can take as it is stays flat, and any other lands in Edges
-// as encoding/json decodes it, so build reports the same first error.
+// list edgeList can take as it is stays flat, and any other lands in
+// Edges as encoding/json decodes it, so edgeList reports the same first
+// error.
 func TestScanEdgeForms(t *testing.T) {
 	for _, tc := range []struct{ graph, form string }{
 		{`{"nodes":3,"edges":[[0,1],[1,2]]}`, "flat"},
@@ -395,7 +400,7 @@ func TestScanEdgeForms(t *testing.T) {
 		got, _ := scanCompute(body)
 		form := "none"
 		switch {
-		case got.Graph.flat != nil:
+		case got.Graph.buf != nil:
 			form = "flat"
 		case got.Graph.Edges != nil:
 			form = "pairs"

@@ -6,12 +6,15 @@ import (
 	"testing"
 
 	"pacds/internal/cds"
+	"pacds/internal/graph"
 )
 
 // BenchmarkRequestPath times the stages a canonical compute body passes
-// through before its first span opens: the scan, the graph build and the
-// cache key. perfbench's serve rows replay encoding/json and
-// graph.FromEdgeFunc over [][2]int instead, so these are the figures for
+// through: the scan and the cache key, which the handler runs before
+// its first span opens, and the graph build into a warm pooled builder,
+// which a cache miss's job runs on the worker. perfbench's serve rows
+// replay encoding/json, graph.FromEdgeFunc over [][2]int and
+// graph.Digest of the built graph instead, so these are the figures for
 // the path cdsd runs. The body is an EL1 request with integer energies,
 // the shape half of serve's computes have.
 func BenchmarkRequestPath(b *testing.B) {
@@ -29,7 +32,7 @@ func BenchmarkRequestPath(b *testing.B) {
 		if !ok {
 			b.Fatal("scanCompute declines a json.Marshal body")
 		}
-		g, err := req.Graph.build(0)
+		edges, err := req.Graph.edgeList(0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -37,19 +40,21 @@ func BenchmarkRequestPath(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(body)))
 			for b.Loop() {
-				scanCompute(body)
-			}
-		})
-		b.Run(fmt.Sprintf("N=%d/build", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for b.Loop() {
-				req.Graph.build(0)
+				req, _ := scanCompute(body)
+				req.Graph.release()
 			}
 		})
 		b.Run(fmt.Sprintf("N=%d/key", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				cacheKey(g, cds.EL1, energy, 1)
+				cacheKey(edges.digest(n), n, cds.EL1, energy, 1)
+			}
+		})
+		b.Run(fmt.Sprintf("N=%d/build", n), func(b *testing.B) {
+			var bd graph.Builder
+			b.ReportAllocs()
+			for b.Loop() {
+				bd.Build(n, edges.flat)
 			}
 		})
 	}

@@ -37,6 +37,7 @@ import (
 	"pacds/internal/cds"
 	"pacds/internal/distributed"
 	"pacds/internal/energy"
+	"pacds/internal/graph"
 	"pacds/internal/metrics"
 	"pacds/internal/obs"
 	"pacds/internal/sim"
@@ -347,6 +348,14 @@ func (s *Server) submit(ctx context.Context, stage string, fn func() (any, error
 	}
 }
 
+// refused reports whether err is submit refusing a job it never queued,
+// a shed or a drain: then fn has not run and never will, so whatever the
+// caller handed it is the caller's again. The closures the handlers
+// submit return neither error themselves.
+func refused(err error) bool {
+	return errors.Is(err, errOverloaded) || errors.Is(err, errDraining)
+}
+
 // BeginDrain atomically switches the server into draining mode: every
 // subsequent API request is refused with 503 while in-flight requests run
 // to completion.
@@ -526,20 +535,26 @@ func (s *Server) handleCompute(ctx context.Context, w http.ResponseWriter, r *ht
 	}
 	policy, err := cds.ByName(req.Policy)
 	if err != nil {
+		req.Graph.release()
 		return http.StatusBadRequest, err
 	}
-	g, err := req.Graph.build(s.cfg.MaxNodes)
+	edges, err := req.Graph.edgeList(s.cfg.MaxNodes)
 	if err != nil {
 		return http.StatusBadRequest, err
 	}
-	if policy.NeedsEnergy() && len(req.Energy) != g.NumNodes() {
+	n := req.Graph.Nodes
+	if policy.NeedsEnergy() && len(req.Energy) != n {
+		edges.put()
 		return http.StatusBadRequest,
-			fmt.Errorf("policy %v needs energy levels for all %d nodes, got %d", policy, g.NumNodes(), len(req.Energy))
+			fmt.Errorf("policy %v needs energy levels for all %d nodes, got %d", policy, n, len(req.Energy))
 	}
 
 	// Fault-scenario runs bypass cache and coalescing: they are
-	// parameterized explorations, not steady-state serving traffic.
+	// parameterized explorations, not steady-state serving traffic. The
+	// hardened run keeps its graph, so it gets one of its own.
 	if req.Faults != nil {
+		g := graph.FromFlatEdges(n, edges.flat)
+		edges.put()
 		plan, err := req.Faults.plan()
 		if err != nil {
 			return http.StatusBadRequest, err
@@ -566,8 +581,10 @@ func (s *Server) handleCompute(ctx context.Context, w http.ResponseWriter, r *ht
 		return 0, nil
 	}
 
+	// The key is read off the edge list, so a hit builds no graph; a miss
+	// builds it on the worker, inside the compute span.
 	tr := obs.FromContext(ctx)
-	key := cacheKey(g, policy, req.Energy, s.cfg.EnergyQuantum)
+	key := cacheKey(edges.digest(n), n, policy, req.Energy, s.cfg.EnergyQuantum)
 	ls := tr.StartSpan("cache-lookup")
 	v, age, ok := s.cache.get(key)
 	fresh := ok && (s.cfg.CacheTTL == 0 || age <= s.cfg.CacheTTL)
@@ -581,6 +598,7 @@ func (s *Server) handleCompute(ctx context.Context, w http.ResponseWriter, r *ht
 	}
 	ls.End()
 	if fresh {
+		edges.put()
 		s.mHits.Inc()
 		resp := *v.(*ComputeResponse) // shallow copy; cached object is immutable
 		resp.Cached = true
@@ -589,26 +607,32 @@ func (s *Server) handleCompute(ctx context.Context, w http.ResponseWriter, r *ht
 	}
 	v, shared, err := s.flight.do(key, func() (any, error) {
 		return s.submit(ctx, "compute", func() (any, error) {
-			// Pooled scratch for the pipeline's per-node status slices;
-			// only the compact id lists below outlive this closure.
-			sc := getScratch(g.NumNodes())
-			defer putScratch(sc)
-			cds.MarkParallelInto(g, sc.marked, s.cfg.ComputeWorkers)
-			if err := cds.ApplyRulesParallelInto(g, policy, sc.marked, req.Energy, s.cfg.ComputeWorkers, sc.gateway); err != nil {
-				return nil, err
-			}
-			resp := &ComputeResponse{
-				Policy:      policy.String(),
-				Nodes:       g.NumNodes(),
-				NumGateways: cds.CountGateways(sc.gateway),
-				Gateways:    boolsToIDs(sc.gateway),
-				Marked:      boolsToIDs(sc.marked),
-			}
-			s.cache.add(key, resp)
-			s.gEntries.Set(int64(s.cache.len()))
-			return resp, nil
+			return withGraph(n, edges, func(g *graph.Graph) (any, error) {
+				// Pooled scratch for the pipeline's per-node status
+				// slices; only the compact id lists below outlive this
+				// closure.
+				sc := getScratch(n)
+				defer putScratch(sc)
+				cds.MarkParallelInto(g, sc.marked, s.cfg.ComputeWorkers)
+				if err := cds.ApplyRulesParallelInto(g, policy, sc.marked, req.Energy, s.cfg.ComputeWorkers, sc.gateway); err != nil {
+					return nil, err
+				}
+				resp := &ComputeResponse{
+					Policy:      policy.String(),
+					Nodes:       n,
+					NumGateways: cds.CountGateways(sc.gateway),
+					Gateways:    boolsToIDs(sc.gateway),
+					Marked:      boolsToIDs(sc.marked),
+				}
+				s.cache.add(key, resp)
+				s.gEntries.Set(int64(s.cache.len()))
+				return resp, nil
+			})
 		})
 	})
+	if shared || refused(err) {
+		edges.put() // no job of this request's ever held them
+	}
 	if err != nil {
 		// Brownout: rather than shed, serve the most recent cached result —
 		// stale or not — flagged degraded. Identical inputs give identical
@@ -652,44 +676,50 @@ func (s *Server) handleVerify(ctx context.Context, w http.ResponseWriter, r *htt
 	if err := decodeFast(r, &req, scanVerify); err != nil {
 		return http.StatusBadRequest, err
 	}
-	g, err := req.Graph.build(s.cfg.MaxNodes)
+	edges, err := req.Graph.edgeList(s.cfg.MaxNodes)
 	if err != nil {
 		return http.StatusBadRequest, err
 	}
-	n := g.NumNodes()
+	n := req.Graph.Nodes
 	for _, id := range req.Gateways {
 		if id < 0 || id >= n {
+			edges.put()
 			return http.StatusBadRequest, fmt.Errorf("gateway id %d out of range [0, %d)", id, n)
 		}
 	}
 	v, err := s.submit(ctx, "verify", func() (any, error) {
-		// Pooled membership slice, built from the validated id list; like
-		// compute, the scratch never outlives the closure.
-		sc := getScratch(n)
-		defer putScratch(sc)
-		gateway := sc.gateway
-		for i := range gateway {
-			gateway[i] = false
-		}
-		for _, id := range req.Gateways {
-			gateway[id] = true
-		}
-		report, err := cds.Analyze(g, gateway)
-		if err != nil {
-			return nil, err
-		}
-		resp := &VerifyResponse{
-			Valid:              report.Valid == nil,
-			NumGateways:        report.Gateways,
-			BackboneDiameter:   report.BackboneDiameter,
-			ArticulationPoints: report.ArticulationPoints,
-			MeanRedundancy:     report.MeanRedundancy,
-		}
-		if report.Valid != nil {
-			resp.Reason = report.Valid.Error()
-		}
-		return resp, nil
+		return withGraph(n, edges, func(g *graph.Graph) (any, error) {
+			// Pooled membership slice, built from the validated id list;
+			// like compute, the scratch never outlives the closure.
+			sc := getScratch(n)
+			defer putScratch(sc)
+			gateway := sc.gateway
+			for i := range gateway {
+				gateway[i] = false
+			}
+			for _, id := range req.Gateways {
+				gateway[id] = true
+			}
+			report, err := cds.Analyze(g, gateway)
+			if err != nil {
+				return nil, err
+			}
+			resp := &VerifyResponse{
+				Valid:              report.Valid == nil,
+				NumGateways:        report.Gateways,
+				BackboneDiameter:   report.BackboneDiameter,
+				ArticulationPoints: report.ArticulationPoints,
+				MeanRedundancy:     report.MeanRedundancy,
+			}
+			if report.Valid != nil {
+				resp.Reason = report.Valid.Error()
+			}
+			return resp, nil
+		})
 	})
+	if refused(err) {
+		edges.put()
+	}
 	if err != nil {
 		return statusFor(err), err
 	}

@@ -38,6 +38,17 @@ func specFor(g *graph.Graph) GraphSpec {
 	return spec
 }
 
+// build returns the graph a handler's job builds for spec, in storage of
+// its own, or the error edgeList reports for it. It puts back no buffer,
+// so a test may build one scanned spec more than once.
+func (s GraphSpec) build(maxNodes int) (*graph.Graph, error) {
+	buf, err := s.edgeList(maxNodes)
+	if err != nil {
+		return nil, err
+	}
+	return graph.FromFlatEdges(s.Nodes, buf.flat), nil
+}
+
 // randomInstance samples a connected paper-parameter network.
 func randomInstance(t testing.TB, n int, seed uint64) *udg.Instance {
 	t.Helper()
@@ -627,16 +638,16 @@ func TestLRUCacheAge(t *testing.T) {
 }
 
 func TestCacheKeyIgnoresEnergyForTopologyPolicies(t *testing.T) {
-	g := graph.Path(5)
+	d := graph.Digest(graph.Path(5))
 	e1 := []float64{1, 2, 3, 4, 5}
 	e2 := []float64{9, 9, 9, 9, 9}
-	if cacheKey(g, cds.ND, e1, 1) != cacheKey(g, cds.ND, e2, 1) {
+	if cacheKey(d, 5, cds.ND, e1, 1) != cacheKey(d, 5, cds.ND, e2, 1) {
 		t.Fatal("ND key depends on energy")
 	}
-	if cacheKey(g, cds.EL1, e1, 1) == cacheKey(g, cds.EL1, e2, 1) {
+	if cacheKey(d, 5, cds.EL1, e1, 1) == cacheKey(d, 5, cds.EL1, e2, 1) {
 		t.Fatal("EL1 key ignores energy")
 	}
-	if cacheKey(g, cds.ID, nil, 1) == cacheKey(g, cds.ND, nil, 1) {
+	if cacheKey(d, 5, cds.ID, nil, 1) == cacheKey(d, 5, cds.ND, nil, 1) {
 		t.Fatal("policies share a key")
 	}
 }

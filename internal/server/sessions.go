@@ -143,7 +143,9 @@ func sessionStatus(err error) int {
 
 // handleSessionCreate bootstraps a session. The bootstrap runs the full
 // three-phase protocol (O(N) broadcasts), so it goes through the worker
-// pool with the same shedding/deadline discipline as /v1/compute.
+// pool with the same shedding/deadline discipline as /v1/compute. The
+// graph is built on the worker in a pooled builder: the session keeps a
+// clone of it (distributed.NewSession), never the graph itself.
 func (s *Server) handleSessionCreate(ctx context.Context, w http.ResponseWriter, r *http.Request) (int, error) {
 	var req SessionCreateRequest
 	if err := decodeFast(r, &req, scanSessionCreate); err != nil {
@@ -151,27 +153,36 @@ func (s *Server) handleSessionCreate(ctx context.Context, w http.ResponseWriter,
 	}
 	policy, err := cds.ByName(req.Policy)
 	if err != nil {
+		req.Graph.release()
 		return http.StatusBadRequest, err
 	}
-	g, err := req.Graph.build(s.cfg.MaxNodes)
+	edges, err := req.Graph.edgeList(s.cfg.MaxNodes)
 	if err != nil {
 		return http.StatusBadRequest, err
 	}
-	if policy.NeedsEnergy() && len(req.Energy) != g.NumNodes() {
+	n := req.Graph.Nodes
+	if policy.NeedsEnergy() && len(req.Energy) != n {
+		edges.put()
 		return http.StatusBadRequest,
-			fmt.Errorf("policy %v needs energy levels for all %d nodes, got %d", policy, g.NumNodes(), len(req.Energy))
+			fmt.Errorf("policy %v needs energy levels for all %d nodes, got %d", policy, n, len(req.Energy))
 	}
-	if len(req.Energy) != 0 && len(req.Energy) != g.NumNodes() {
+	if len(req.Energy) != 0 && len(req.Energy) != n {
+		edges.put()
 		return http.StatusBadRequest,
-			fmt.Errorf("%d energy levels for %d nodes", len(req.Energy), g.NumNodes())
+			fmt.Errorf("%d energy levels for %d nodes", len(req.Energy), n)
 	}
 	v, err := s.submit(ctx, "session-bootstrap", func() (any, error) {
-		snap, err := s.sessions.Create(g, policy, req.Energy)
-		if err != nil {
-			return nil, err
-		}
-		return sessionResponse(snap, nil), nil
+		return withGraph(n, edges, func(g *graph.Graph) (any, error) {
+			snap, err := s.sessions.Create(g, policy, req.Energy)
+			if err != nil {
+				return nil, err
+			}
+			return sessionResponse(snap, nil), nil
+		})
 	})
+	if refused(err) {
+		edges.put()
+	}
 	if err != nil {
 		return sessionStatus(err), err
 	}

@@ -463,3 +463,70 @@ func countTrue(b []bool) int {
 	}
 	return n
 }
+
+// TestCreateKeepsNoGraphReference pins that Create, and the
+// distributed.NewSession under it, keep no reference to the graph they
+// are handed, which lets cdsd build each session-create graph in a
+// pooled graph.Builder. After the create, the builder builds another
+// graph over the same storage; the session must still match one
+// created from a graph of its own, through a series of batches.
+func TestCreateKeepsNoGraphReference(t *testing.T) {
+	const n = 120
+	inst, err := udg.RandomConnected(udg.PaperConfig(n), xrand.New(4), 2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var flat, mirrored []graph.NodeID
+	inst.Graph.Edges(func(u, v graph.NodeID) {
+		flat = append(flat, u, v)
+		mirrored = append(mirrored, n-1-v, n-1-u)
+	})
+	energy := make([]float64, n)
+	for i := range energy {
+		energy[i] = float64(i%7 + 1)
+	}
+	var b graph.Builder
+	m, _ := testManager(t, Config{})
+	snap, err := m.Create(b.Build(n, flat), cds.EL2, energy)
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	// The mirror image has as many arcs, so this build rewrites the rows,
+	// the arena and the view the session was created from.
+	b.Build(n, mirrored)
+	oracle, err := distributed.NewSession(inst.Graph, cds.EL2, energy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := xrand.New(5)
+	for step := 0; step < 30; step++ {
+		var batch []EdgeChange
+		for k := 0; k < 4; k++ {
+			a := graph.NodeID(rng.Intn(n))
+			c := graph.NodeID((int(a) + 1 + rng.Intn(n-1)) % n)
+			batch = append(batch, EdgeChange{A: a, B: c, Up: rng.Intn(2) == 0})
+		}
+		if _, err := oracle.ApplyChanges(batch); err != nil {
+			t.Fatal(err)
+		}
+		if snap, err = m.Apply(snap.ID, batch, nil); err != nil {
+			t.Fatal(err)
+		}
+		want := oracle.Gateways()
+		if snap.NumGateways != countTrue(want) {
+			t.Fatalf("step %d: %d gateways, a session of its own has %d", step, snap.NumGateways, countTrue(want))
+		}
+		for _, v := range snap.Gateways {
+			if !want[v] {
+				t.Fatalf("step %d: gateway %d not in the own session's set", step, v)
+			}
+		}
+	}
+	g, _, err := m.Graph(snap.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !graph.Equal(g, oracle.Graph()) {
+		t.Fatal("the session's topology follows the builder's storage")
+	}
+}
